@@ -1,6 +1,6 @@
 """bchkit benchmark: drives ``bchkit.cli.main`` in-process and checks every output.
 
-    python3 perfbench/run.py --workload term-bch --seed 1 --seconds 28 --trace 0
+    python3 perfbench/run.py --workload term --seed 1 --seconds 55 --trace 0
     python3 perfbench/run.py --workload all        # every workload in turn
 
 A pass runs each op of the workload once cold (term memo cleared, empty
@@ -209,14 +209,13 @@ class Runner:
         return elapsed
 
     def describe_op(self, op: workloads.Op, elapsed: float, first_span: int) -> None:
-        total, own = self.tracer.totals(first_span)
-        own.pop("cli", None)
-        largest = max(own, key=own.get, default="-")
-        log_share = total.get("trimatrix.log", 0.0) / elapsed
-        self.op_lines.append(
-            f"  cold {' '.join(op.argv)[:48]:<48} {elapsed:9.4f} s  "
-            f"log share {log_share:6.1%}  most self time {largest}"
+        """One line per cold op: its time and each layer's share of it, by
+        self time; layers the op never entered are left out."""
+        _, own = self.tracer.totals(first_span)
+        shares = ", ".join(
+            f"{name} {seconds / elapsed:.1%}" for name, seconds in sorted(own.items(), key=lambda kv: -kv[1])
         )
+        self.op_lines.append(f"  cold {' '.join(op.argv)[:40]:<40} {elapsed:8.4f} s  {shares}")
 
     def one_pass(self) -> tuple[float, float]:
         """(cold seconds, replay seconds) summed over the workload's ops;
@@ -231,7 +230,8 @@ class Runner:
                 raise SystemExit(f"error: cache directory {cache} is not fresh")
             os.environ[CACHE_ENV_VAR] = str(cache)
             cold += self.run_op(index, "cold")
-            replay += statistics.median(self.run_op(index, "replay") for _ in range(op.replays))
+            if op.replays:
+                replay += statistics.median(self.run_op(index, "replay") for _ in range(op.replays))
             shutil.rmtree(cache, ignore_errors=True)
         return cold, replay
 
@@ -402,7 +402,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="all", choices=("all",) + workloads.NAMES)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=28)
+    parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if args.workload == "all":

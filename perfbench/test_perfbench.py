@@ -34,7 +34,7 @@ def test_generated_specs_are_valid_and_general():
                 if spec != "exp":
                     coeffs = [Fraction(c) for c in spec.split(",")]
                     assert coeffs[0] == 1
-                    assert all(c.denominator <= workloads.MAX_DENOMINATOR for c in coeffs)
+                    assert all(c.denominator <= 50 for c in coeffs)
                     bchkit.SeriesSpec.from_coeffs(coeffs)
 
 

@@ -20,7 +20,8 @@ class Op:
     argv: tuple[str, ...]
     # key into digests.json for fixed-input ops; None means "check by oracle"
     digest: str | None
-    # replays per cold run; cheap cache hits get several so their median holds
+    # replays per cold run; cheap cache hits get several so their median
+    # holds, and an op that caches nothing gets none
     replays: int
     # the output's last line must equal this, when set
     last_line: str | None = None
@@ -37,7 +38,7 @@ class Workload:
 # term-general shapes: (factors, order, kind per factor).  "g" is a dense
 # generated series, "p" a short generated polynomial, "exp" the exponential.
 # The shapes are fixed so every seed costs about the same; the seed picks
-# the coefficients and the letters.
+# the letters and how the coefficients below are arranged and signed.
 GENERAL_SHAPES = (
     (2, 11, ("g", "exp")),
     (2, 10, ("g", "g")),
@@ -46,12 +47,14 @@ GENERAL_SHAPES = (
     (4, 6, ("g", "exp", "g", "p")),
 )
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyz"
-MAX_DENOMINATOR = 50
-
-
-def _coefficient(rng: random.Random) -> Fraction:
-    num = rng.randint(1, 9) * rng.choice((1, -1))
-    return Fraction(num, rng.randint(1, MAX_DENOMINATOR))
+# A series of k nonzero coefficients takes the first k of this list, shuffled,
+# with random signs.  The list is fixed, so the sizes of the numbers the
+# program works on vary little with the seed: over seeds 1..20 the output size
+# spreads 3% (IQR over median), against 6% with each numerator drawn from 1..9
+# and each denominator from 1..50.
+COEFFICIENTS = tuple(
+    Fraction(c) for c in ("1/2", "3/5", "2/7", "5/3", "1/11", "4/9", "7/4", "9/13", "3/8", "6/25", "8/49")
+)
 
 
 def generate_series(rng: random.Random, kind: str, n: int, factor: int) -> str:
@@ -61,9 +64,12 @@ def generate_series(rng: random.Random, kind: str, n: int, factor: int) -> str:
     if kind == "exp":
         return "exp"
     length = n if kind == "g" else 2
+    zero = 3 + factor if kind == "g" else None
+    count = length - (zero is not None and zero <= length)
+    picked = rng.sample(COEFFICIENTS[:count], count)
     coeffs = [Fraction(1)]
     for k in range(1, length + 1):
-        coeffs.append(Fraction(0) if k == 3 + factor else _coefficient(rng))
+        coeffs.append(Fraction(0) if k == zero else picked.pop() * rng.choice((1, -1)))
     return ",".join(str(c) for c in coeffs)
 
 
@@ -86,35 +92,27 @@ def pool_workers() -> int:
 
 
 def build(name: str, seed: int) -> Workload:
-    if name == "term-bch":
+    if name == "term":
+        bch = tuple(Op(("term", str(n)), f"term {n}", 9) for n in range(1, 13))
+        general = tuple(Op(argv, None, 9) for argv in term_general_argvs(seed))
         return Workload(
             name,
-            tuple(Op(("term", str(n)), f"term {n}", 9) for n in range(1, 13)),
-            (("term", "4"),),
+            bch + general,
+            (("term", "4"), ("term", "4", "--series", "1,1/2,-3")),
         )
-    if name == "term-general":
-        return Workload(
-            name,
-            tuple(Op(argv, None, 9) for argv in term_general_argvs(seed)),
-            (("term", "4", "--series", "1,1/2,-3"),),
-        )
-    if name == "verify":
-        return Workload(
-            name,
-            (Op(("verify", "9"), "verify 9", 1, "all checks passed"),),
-            (("verify", "3"),),
-        )
-    if name == "scan":
+    if name == "signed":
         k = str(pool_workers())
         return Workload(
             name,
             (
-                Op(("scan", "11"), "scan 11", 1, "no unexpected vanishings"),
-                Op(("scan", "11", "--workers", k), "scan 11", 1, "no unexpected vanishings"),
+                Op(("verify", "9"), "verify 9", 1, "all checks passed"),
+                # scan has no cache to replay from, so it runs cold only
+                Op(("scan", "11"), "scan 11", 0, "no unexpected vanishings"),
+                Op(("scan", "11", "--workers", k), "scan 11", 0, "no unexpected vanishings"),
             ),
-            (("scan", "3"),),
+            (("verify", "3"), ("scan", "3")),
         )
     raise ValueError(f"unknown workload {name!r}; choose from {', '.join(NAMES)}")
 
 
-NAMES = ("term-bch", "term-general", "verify", "scan")
+NAMES = ("term", "signed")
