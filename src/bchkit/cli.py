@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="census of vanishing sign assignments")
     p_scan.add_argument("n_max", type=int, help="scan orders 1..n_max")
     p_scan.add_argument("--workers", type=int, metavar="K",
-                        help="evaluate assignments across K processes")
+                        help="evaluate assignments across up to K processes, "
+                        "at most one per CPU")
     p_scan.set_defaults(handler=cmd_scan)
 
     p_bench = sub.add_parser("bench", help="time the symbolic and signed pipelines")

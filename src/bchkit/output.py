@@ -9,10 +9,12 @@ so a hit can be replayed byte for byte without recomputation.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -204,11 +206,21 @@ def cache_load(key: str, directory: Path | None = None) -> OutputDocument | None
 
 
 def cache_store(key: str, doc: OutputDocument, directory: Path | None = None) -> bool:
+    """Write the entry atomically: a temp file in the cache directory is
+    renamed onto ``<key>.json``, so readers never see a torn file.  A failed
+    write removes the temp file and only warns."""
     target = directory or cache_dir()
+    tmp = None
     try:
         target.mkdir(parents=True, exist_ok=True)
-        (target / f"{key}.json").write_text(doc.to_json_text())
+        fd, tmp = tempfile.mkstemp(dir=target, prefix=f".{key}.", suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(doc.to_json_text())
+        os.replace(tmp, target / f"{key}.json")
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         print(f"warning: cache write failed: {exc}", file=sys.stderr)
         return False
     return True

@@ -17,6 +17,7 @@ worker processes; results are merged in enumeration order either way.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,15 +96,20 @@ def _eval_mask_chunk(args: tuple[int, list[int]]) -> list[Fraction]:
 def _values_for_masks(
     n: int, masks: Sequence[int], workers: int | None
 ) -> dict[int, Fraction]:
-    """Evaluate each mask; merge preserves the order of ``masks``."""
+    """Evaluate each mask; merge preserves the order of ``masks``.
+
+    The pool never holds more than min(workers, cpu count, chunks)
+    processes, whatever ``workers`` asks for.
+    """
     if not masks:
         return {}
-    if not workers or workers <= 1 or len(masks) < 4 * workers:
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers <= 1 or len(masks) < 4 * workers:
         return {m: eval_assignment(n, _mask_signs(n, m)) for m in masks}
     chunk = (len(masks) + workers - 1) // workers
     jobs = [(n, list(masks[lo : lo + chunk])) for lo in range(0, len(masks), chunk)]
     out: dict[int, Fraction] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         for (_, chunk_masks), values in zip(jobs, pool.map(_eval_mask_chunk, jobs)):
             out.update(zip(chunk_masks, values))
     return out

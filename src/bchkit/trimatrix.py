@@ -7,16 +7,23 @@ on the superdiagonal, family k puts its position variables there.  A
 superdiagonal matrix S is nilpotent with S**(n+1) = 0, so any power series
 applied to S collapses to a polynomial and both the series evaluation and
 the matrix logarithm below terminate exactly.
+
+The logarithm's first-row recurrence carries no fractions.  Column j of the
+product has an integer scale S_j (S_0 = 1, S_j = lcm over k < j of S_k times
+the common denominator of entry (k, j)), every entry is stored once as an
+integer polynomial on its column's scale, and the log's 1/q weights are folded
+into L = lcm(1..n).  Rationals appear only at the end: one Fraction per
+surviving monomial, its integer sum over L * S_n.  With exp factors S_j = j!.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
-from .multilinear import MultilinearPoly, Rational
+from .multilinear import MultilinearPoly, Rational, SupportOverlapError, mono_support
 
 BASE_FAMILY = 0
 
@@ -88,12 +95,8 @@ class TriMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "TriMatrix":
-        return cls._scaled_identity(n, ONE)
-
-    @classmethod
-    def _scaled_identity(cls, n: int, value: Rational) -> "TriMatrix":
         zero = MultilinearPoly.zero(n)
-        diag = MultilinearPoly.constant(n, value)
+        diag = MultilinearPoly.constant(n, ONE)
         rows = [
             [diag if i == j else zero for j in range(n + 1)] for i in range(n + 1)
         ]
@@ -157,24 +160,32 @@ def mat_mul(a: TriMatrix, b: TriMatrix) -> TriMatrix:
 def build_factor_matrix(n: int, family: int, f: SeriesSpec) -> TriMatrix:
     """f applied to the family's superdiagonal matrix.
 
-    Horner accumulation, S <- c_k I + M S for k = n..0; exact because
-    M**(n+1) = 0.  With f = exp this gives entries c_{j-i} times the run of
-    the family's variables over positions i+1..j.
+    The powers of a superdiagonal matrix are shifted diagonals, so entry
+    (i, j) of f(S) is c_{j-i} times the run of the family's variable over
+    positions i+1..j; for the base family the run is the constant 1.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    if family < 0:
+        raise ValueError(f"family must be >= 0, got {family}")
     if f.coeff(0) != 1:
         raise ValueError("series must satisfy f(0) = 1")
-    m = TriMatrix.superdiagonal(n, family)
-    acc = TriMatrix._scaled_identity(n, f.coeff(n))
-    for k in range(n - 1, -1, -1):
-        prod = mat_mul(m, acc)
-        ck = MultilinearPoly.constant(n, f.coeff(k))
-        rows = [list(r) for r in prod.rows]
-        for i in range(n + 1):
-            rows[i][i] = rows[i][i] + ck
-        acc = TriMatrix(n, rows)
-    return acc
+    shift = (family - 1) * n
+    zero = MultilinearPoly.zero(n)
+    rows = [[zero] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            run = 0 if family == BASE_FAMILY else ((1 << (j - i)) - 1) << (i + shift)
+            rows[i][j] = MultilinearPoly(n, {run: f.coeff(j - i)})
+    return TriMatrix(n, rows)
+
+
+def _support(n: int, monos: Iterable[int]) -> int:
+    """Union of the positions occupied by any of ``monos``, as an n-bit mask."""
+    union = 0
+    for mono in monos:
+        union |= mono
+    return mono_support(n, union)
 
 
 def log_upper_right(p: TriMatrix) -> MultilinearPoly:
@@ -185,24 +196,76 @@ def log_upper_right(p: TriMatrix) -> MultilinearPoly:
     is needed: v_q = v_{q-1} (p - I), starting from the first row of p - I.
     The first row of (p - I)^q vanishes on columns < q, which bounds the
     inner sum below.
+
+    The recurrence runs on integers.  Column j gets the scale S_j, with
+    S_0 = 1 and S_j = lcm over k < j of S_k times den(p[k][j]), the lcm of
+    that entry's coefficient denominators.  Entry (k, j) is stored once as
+    the integer polynomial p[k][j] * S_j / S_k, so V_q[j] = S_j v_q[j]
+    satisfies V_q[j] = sum_k V_{q-1}[k] (p[k][j] S_j / S_k) without a
+    single division.  The log's (-1)^{q+1}/q becomes the integer weight
+    (-1)^{q+1} L/q with L = lcm(1..n), and the result is built with one
+    Fraction per monomial: acc / (L S_n).  For exp factors S_j = j!, so
+    the stored entries are binomial sums; any other series finds its own
+    common denominators the same way.
+
+    A product term is the union ma | mb of two monomials.  The factors of
+    a legitimate product occupy disjoint positions, so each block
+    (v[k], p[k][j]) is checked once: any shared position raises
+    SupportOverlapError.
     """
     if not p.has_unit_diagonal():
         raise ValueError("log requires a unit diagonal")
     n = p.n
-    zero = MultilinearPoly.zero(n)
-    v = [zero] + [p.rows[0][j] for j in range(1, n + 1)]
-    acc = v[n]
+    scales = [1] * (n + 1)
+    for j in range(1, n + 1):
+        scales[j] = lcm(*(
+            scales[k] * lcm(*(c.denominator for c in p.rows[k][j].terms.values()))
+            for k in range(j)
+        ))
+    # scaled[k][j] = (terms of p[k][j] * S_j / S_k, support of p[k][j]), or None
+    scaled = [[None] * (n + 1) for _ in range(n + 1)]
+    for k in range(n):
+        for j in range(k + 1, n + 1):
+            terms = p.rows[k][j].terms
+            if terms:
+                ratio = scales[j] // scales[k]
+                items = [
+                    (mono, c.numerator * (ratio // c.denominator)) for mono, c in terms.items()
+                ]
+                scaled[k][j] = (items, _support(n, terms))
+    top = lcm(*range(1, n + 1))
+    v = [{}] + [dict(entry[0]) if entry else {} for entry in scaled[0][1:]]
+    acc = {mono: top * c for mono, c in v[n].items()}
     for q in range(2, n + 1):
-        w = [zero] * (n + 1)
+        supports = [_support(n, vk) for vk in v]
+        w = [{}] * (n + 1)
         for j in range(q, n + 1):
-            s = zero
+            s: dict[int, int] = {}
+            get = s.get
             for k in range(q - 1, j):
-                if v[k] and p.rows[k][j]:
-                    s = s + v[k] * p.rows[k][j]
-            w[j] = s
-        acc = acc + Fraction((-1) ** (q + 1), q) * w[n]
+                vk = v[k]
+                block = scaled[k][j]
+                if not vk or block is None:
+                    continue
+                items, support = block
+                if supports[k] & support:
+                    raise SupportOverlapError(
+                        f"row entry {k} and matrix entry ({k},{j}) share a position"
+                    )
+                vitems = vk.items()
+                for mb, cb in items:
+                    for ma, ca in vitems:
+                        mono = ma | mb
+                        s[mono] = get(mono, 0) + ca * cb
+            w[j] = {mono: c for mono, c in s.items() if c}
+        weight = top // q if q % 2 else -(top // q)
+        for mono, c in w[n].items():
+            acc[mono] = acc.get(mono, 0) + weight * c
         v = w
-    return acc
+    den = top * scales[n]
+    result = MultilinearPoly(n)
+    result.terms = {mono: Fraction(c, den) for mono, c in acc.items() if c}
+    return result
 
 
 def word_matrix_product(n: int, word: "str | Sequence[int]") -> MultilinearPoly:

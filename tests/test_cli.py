@@ -1,9 +1,12 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import errno
 import json
+import os
 
 import pytest
 
+from bchkit import output
 from bchkit.cli import main
 
 
@@ -53,6 +56,36 @@ class TestTerm:
         assert doc["order"] == 3
         assert doc["letters"] == ["x", "y"]
         assert ["xxy", "1", "12"] in doc["terms"]
+
+    def test_failed_cache_write_leaves_nothing(self, capsys, monkeypatch, isolated_cache):
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """Writes half of the entry, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+                return False
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(
+            output.os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode))
+        )
+        code, out, err = run(capsys, "term", "4")
+        assert code == 0
+        assert out.splitlines() == ["1/24  xxyy", "-1/12  xyxy", "1/12  yxyx", "-1/24  yyxx"]
+        assert "cache write failed" in err
+        assert list(isolated_cache.iterdir()) == []
 
     def test_dynkin_payload(self, capsys):
         code, out, _ = run(capsys, "term", "2", "--dynkin")

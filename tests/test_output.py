@@ -144,6 +144,13 @@ class TestCache:
         assert cache_store(key, doc, tmp_path)
         assert cache_load(key, tmp_path) == doc
 
+    def test_store_leaves_only_the_entry(self, tmp_path):
+        key = "a" * 64
+        assert cache_store(key, make_doc(3), tmp_path)
+        assert cache_store(key, make_doc(4), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+        assert cache_load(key, tmp_path) == make_doc(4)
+
     def test_missing_entry(self, tmp_path):
         assert cache_load("0" * 64, tmp_path) is None
 

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bchkit.freealgebra import oracle_bch
 from bchkit.multilinear import MultilinearPoly, mono_from_positions
 from bchkit.series import bch_term, bch_term_multi, logf_term, t_operator
 from bchkit.trimatrix import SeriesSpec
@@ -185,3 +187,27 @@ class TestLogfTerm:
     def test_series_must_lead_with_one(self):
         with pytest.raises(ValueError):
             SeriesSpec.from_coeffs([0, 1])
+
+
+# largest order cross-checked per factor count; the oracle's cost grows as m**n
+ORACLE_MAX_ORDER = {2: 6, 3: 5, 4: 4}
+
+coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def factor_series(draw):
+    m = draw(st.sampled_from(sorted(ORACLE_MAX_ORDER)))
+    n = draw(st.integers(1, ORACLE_MAX_ORDER[m]))
+    specs = [
+        SeriesSpec.from_coeffs([1] + draw(st.lists(coefficient, max_size=n)))
+        for _ in range(m)
+    ]
+    return n, specs
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_series())
+def test_logf_term_matches_oracle_on_random_series(case):
+    n, specs = case
+    assert logf_term(n, specs) == oracle_bch(n, len(specs), specs)

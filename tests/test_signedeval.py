@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from bchkit import signedeval
 from bchkit.series import bch_term
 from bchkit.signedeval import (
     SignedCoefficientTable,
     _gray_masks,
+    _values_for_masks,
     build_table,
     eval_assignment,
     reconstruct_term,
@@ -166,3 +168,45 @@ class TestScan:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             scan_nonvanishing(0)
+
+
+class TestWorkerCap:
+    """The pool is replaced by an in-process fake, so no process starts."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(signedeval, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "requested,cpus,masks,expected",
+        [
+            (4000, 2, 64, [2]),  # capped at the CPU count
+            (3, 8, 64, [3]),  # the request is below both caps
+            (10, 16, 41, [9]),  # 41 masks in chunks of 5 make only 9 jobs
+            (4000, None, 64, []),  # unknown CPU count: serial
+            (4000, 1, 64, []),  # one CPU: serial
+        ],
+    )
+    def test_pool_size(self, monkeypatch, pool_sizes, requested, cpus, masks, expected):
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: cpus)
+        chosen = _gray_masks(6)[:masks]
+        got = _values_for_masks(6, chosen, requested)
+        assert pool_sizes == expected
+        assert list(got) == chosen
+        assert got == _values_for_masks(6, chosen, None)

@@ -1,10 +1,11 @@
 """Factor matrices, products, and the truncated logarithm."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from bchkit.multilinear import MultilinearPoly, mono_from_positions
+from bchkit.multilinear import MultilinearPoly, SupportOverlapError, mono_from_positions
 from bchkit.trimatrix import (
     SeriesSpec,
     TriMatrix,
@@ -27,6 +28,30 @@ def const(n, v):
 
 def var(n, pos, family=1, coeff=1):
     return MultilinearPoly.variable(n, pos, family, Fraction(coeff))
+
+
+# unrelated to each other and to any factorial, so the column scales of the
+# log kernel are nothing like j!
+DENOMINATORS = (1, 3, 7, 10, 11, 13, 17, 19)
+
+
+def random_unit_triangular(rng, n, families):
+    """Unit diagonal; entry (i, j) holds up to three monomials on positions
+    i+1..j, the supports a product of factor matrices has."""
+    rows = [[const(n, 0)] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        rows[i][i] = const(n, 1)
+        for j in range(i + 1, n + 1):
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                mono = 0
+                for pos in range(i + 1, j + 1):
+                    family = rng.randint(0, families)
+                    if family:
+                        mono |= mono_from_positions(n, [pos], family)
+                terms[mono] = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+            rows[i][j] = MultilinearPoly(n, terms)
+    return TriMatrix(n, rows)
 
 
 class TestSeriesSpec:
@@ -174,6 +199,28 @@ class TestLogUpperRight:
         exp = SeriesSpec.exponential(n)
         fg = mat_mul(build_factor_matrix(n, 0, exp), build_factor_matrix(n, 1, exp))
         assert log_upper_right(fg) == matrix_log_full(fg).rows[0][n]
+
+    @pytest.mark.parametrize("seed", range(18))
+    def test_random_rational_matrices_agree_with_full_log(self, seed):
+        rng = random.Random(seed)
+        p = random_unit_triangular(rng, n=1 + seed % 6, families=1 + seed % 3)
+        assert log_upper_right(p) == matrix_log_full(p).rows[0][p.n]
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_shared_position_raises(self, family):
+        # v[1] = 1 + s1 and p[1][2] carries position 1 as well
+        n = 2
+        one, zero = const(n, 1), const(n, 0)
+        p = TriMatrix(
+            n,
+            [
+                [one, one + var(n, 1), zero],
+                [zero, one, var(n, 1, family)],
+                [zero, zero, one],
+            ],
+        )
+        with pytest.raises(SupportOverlapError):
+            log_upper_right(p)
 
 
 class TestWordMatrixProduct:
