@@ -3,7 +3,8 @@
 Subcommands: term (compute one order), verify (cross-check the independent
 routes), scan (nonvanishing census of the sign lattice), bench (timing).
 Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
-0 success, 1 invalid arguments, 2 verification mismatch, 3 I/O failure.
+0 success, 1 invalid arguments (including orders over the MAX_WORDS size
+limit), 2 verification mismatch, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -35,6 +36,20 @@ from .words import Alphabet, NCSeries
 
 class UsageError(Exception):
     pass
+
+
+# z_n over m letters has up to m**n words, and scan and bench walk 2**n sign
+# assignments per order: orders past this are refused before any work starts.
+MAX_WORDS = 1 << 22
+
+
+def _check_size(base: int, n: int) -> None:
+    # base >= 2, so base**n > MAX_WORDS once n reaches its bit length; testing
+    # that first keeps the check itself from building a huge power
+    if n >= MAX_WORDS.bit_length() or base**n > MAX_WORDS:
+        raise UsageError(
+            f"order {n} needs up to {base}^{n} words, over the limit of {MAX_WORDS}"
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,6 +158,7 @@ def cmd_term(args: argparse.Namespace) -> int:
         raise UsageError(f"order must be >= 1, got {args.n}")
     if args.factors < 2:
         raise UsageError(f"--factors must be >= 2, got {args.factors}")
+    _check_size(args.factors, args.n)
     alphabet = _parse_letters(args.letters, args.factors)
     series_names, specs = _parse_series(args.series, args.factors, args.n)
     key = cache_key(__version__, "term", args.n, alphabet.letters, series_names, args.dynkin)
@@ -236,6 +252,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise UsageError(f"order must be >= 1, got {args.n_max}")
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    _check_size(2, args.n_max)
     reports = scan_nonvanishing(args.n_max, workers=args.workers)
     bad = 0
     for r in reports:
@@ -282,6 +299,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     if args.repeat < 1:
         raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
+    _check_size(2, hi)
     rows = []
     for n in range(lo, hi + 1):
         exp = SeriesSpec.exponential(n)

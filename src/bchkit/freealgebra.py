@@ -1,111 +1,26 @@
 """Brute-force truncated free-algebra engine, the package's ground truth.
 
-Series here are plain maps from words to rationals, multiplied by word
+Series here are NCSeries, maps from words to rationals, multiplied by word
 concatenation with everything past the truncation degree discarded as it
-arises.  Deliberately the slow, obvious implementation: it shares none of
-the matrix pipeline's machinery, so agreement between the two routes is
-meaningful evidence rather than a tautology.
+arises.  Deliberately the slow, obvious implementation: it shares the word
+container with the matrix pipeline but none of its algorithm (no matrices,
+no multilinear polynomials, no first-row log), so agreement between the two
+routes is meaningful evidence rather than a tautology.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
-from .multilinear import Rational
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries, Word
 
-
-class TruncatedNCSeries:
-    """Word-to-rational map, every word of length <= max_degree."""
-
-    __slots__ = ("alphabet", "max_degree", "terms")
-
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        max_degree: int,
-        terms: Mapping[Word, Rational | int] | None = None,
-    ):
-        if max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-        self.alphabet = alphabet
-        self.max_degree = max_degree
-        self.terms: dict[Word, Fraction] = {}
-        if terms:
-            m = alphabet.size
-            for word, coeff in terms.items():
-                if len(word) > max_degree:
-                    raise ValueError(f"word of length {len(word)} exceeds degree {max_degree}")
-                if any(not 0 <= i < m for i in word):
-                    raise ValueError(f"letter index out of range in {word}")
-                c = Fraction(coeff)
-                if c:
-                    self.terms[word] = c
-
-    @classmethod
-    def constant(cls, alphabet: Alphabet, max_degree: int, value: Rational | int) -> "TruncatedNCSeries":
-        return cls(alphabet, max_degree, {(): Fraction(value)})
-
-    @classmethod
-    def letter(cls, alphabet: Alphabet, max_degree: int, index: int) -> "TruncatedNCSeries":
-        return cls(alphabet, max_degree, {(index,): Fraction(1)})
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    def _compatible(self, other: "TruncatedNCSeries") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        if self.max_degree != other.max_degree:
-            raise ValueError(f"degree mismatch: {self.max_degree} != {other.max_degree}")
-
-    def add(self, other: "TruncatedNCSeries") -> "TruncatedNCSeries":
-        self._compatible(other)
-        out = dict(self.terms)
-        for word, c in other.terms.items():
-            s = out.get(word, Fraction(0)) + c
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-        result = TruncatedNCSeries(self.alphabet, self.max_degree)
-        result.terms = out
-        return result
-
-    def scaled(self, factor: Rational | int) -> "TruncatedNCSeries":
-        f = Fraction(factor)
-        result = TruncatedNCSeries(self.alphabet, self.max_degree)
-        if f:
-            result.terms = {w: c * f for w, c in self.terms.items()}
-        return result
-
-    def homogeneous_slice(self, degree: int) -> NCSeries:
-        """Export the degree-d part in the shared word-series type."""
-        return NCSeries(
-            self.alphabet, degree, {w: c for w, c in self.terms.items() if len(w) == degree}
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedNCSeries):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.max_degree == other.max_degree
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{self.alphabet.word_str(w)}: {c}"
-            for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        )
-        return f"TruncatedNCSeries(degree<={self.max_degree}, {{{body}}})"
+# Public name kept for importers; the oracle works on the shared word series.
+TruncatedNCSeries = NCSeries
 
 
-def nc_mul(a: TruncatedNCSeries, b: TruncatedNCSeries) -> TruncatedNCSeries:
+def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     """Concatenation product, dropping overweight words as they arise.
 
     b's terms are bucketed by length so only pairs that fit under the
@@ -130,50 +45,49 @@ def nc_mul(a: TruncatedNCSeries, b: TruncatedNCSeries) -> TruncatedNCSeries:
                     out[word] = s
                 else:
                     del out[word]
-    result = TruncatedNCSeries(a.alphabet, cap)
+    result = NCSeries(a.alphabet, cap)
     result.terms = out
     return result
 
 
-def nc_exp(a: TruncatedNCSeries) -> TruncatedNCSeries:
+def nc_exp(a: NCSeries) -> NCSeries:
     """sum_{k=0}^{n} a^k / k! for a with zero constant term."""
-    if a.constant_term() != 0:
+    if a.coefficient(()) != 0:
         raise ValueError("nc_exp needs a zero constant term")
-    acc = TruncatedNCSeries.constant(a.alphabet, a.max_degree, 1)
-    power = TruncatedNCSeries.constant(a.alphabet, a.max_degree, 1)
+    acc = power = NCSeries(a.alphabet, a.max_degree, {(): 1})
     for k in range(1, a.max_degree + 1):
         power = nc_mul(power, a)
         if not power.terms:
             break
-        acc = acc.add(power.scaled(Fraction(1, factorial(k))))
+        acc = acc + power.scaled(Fraction(1, factorial(k)))
     return acc
 
 
-def nc_log(a: TruncatedNCSeries) -> TruncatedNCSeries:
+def nc_log(a: NCSeries) -> NCSeries:
     """-sum_{q=1}^{n} ((-1)^q / q) (a - 1)^q for a with constant term 1."""
-    if a.constant_term() != 1:
+    if a.coefficient(()) != 1:
         raise ValueError("nc_log needs constant term exactly 1")
-    u = a.add(TruncatedNCSeries.constant(a.alphabet, a.max_degree, -1))
-    acc = TruncatedNCSeries(a.alphabet, a.max_degree)
-    power = TruncatedNCSeries.constant(a.alphabet, a.max_degree, 1)
+    power = NCSeries(a.alphabet, a.max_degree, {(): 1})
+    u = a - power
+    acc = NCSeries(a.alphabet, a.max_degree)
     for q in range(1, a.max_degree + 1):
         power = nc_mul(power, u)
         if not power.terms:
             break
-        acc = acc.add(power.scaled(Fraction((-1) ** (q + 1), q)))
+        acc = acc + power.scaled(Fraction((-1) ** (q + 1), q))
     return acc
 
 
 def series_at_letter(
     f: SeriesSpec, alphabet: Alphabet, max_degree: int, index: int
-) -> TruncatedNCSeries:
+) -> NCSeries:
     """f evaluated at a single letter: sum_k c_k letter^k up to the cap."""
     terms = {}
     for k in range(max_degree + 1):
         c = f.coeff(k)
         if c:
             terms[(index,) * k] = c
-    return TruncatedNCSeries(alphabet, max_degree, terms)
+    return NCSeries(alphabet, max_degree, terms)
 
 
 def oracle_bch(

@@ -15,7 +15,7 @@ carries at most one variable, of whatever family, per position.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -246,6 +246,3 @@ class MultilinearPoly:
 
     def __repr__(self) -> str:
         return f"MultilinearPoly(n={self.n}, {str(self)})"
-
-    def __iter__(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self.items_sorted())

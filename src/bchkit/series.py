@@ -25,16 +25,7 @@ def t_operator(p: MultilinearPoly, alphabet: Alphabet) -> NCSeries:
     bijection on basis elements, so coefficients transfer unchanged.
     """
     n = p.n
-    m = alphabet.size
-    terms = {}
-    for mono, coeff in p.terms.items():
-        word = mono_digits(n, mono)
-        if any(f >= m for f in word):
-            raise ValueError(
-                f"monomial uses variable family {max(word)} but alphabet has {m} letters"
-            )
-        terms[word] = coeff
-    return NCSeries(alphabet, n, terms)
+    return NCSeries(alphabet, n, {mono_digits(n, mono): c for mono, c in p.terms.items()})
 
 
 def _check_order(n: int) -> None:
@@ -59,17 +50,15 @@ def _term_for(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet) -> NCSer
 
 
 @cache
-def _term_cached(n: int, fingerprints: tuple[str, ...], letters: tuple[str, ...]) -> NCSeries:
-    f_list = [SeriesSpec.from_coeffs(fp.split(",")) for fp in fingerprints]
-    return _term_for(n, f_list, Alphabet(letters))
+def _term_cached(n: int, f_list: tuple[SeriesSpec, ...], alphabet: Alphabet) -> NCSeries:
+    return _term_for(n, f_list, alphabet)
 
 
 def _dispatch(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet | None) -> NCSeries:
     _check_order(n)
     if alphabet is None:
         alphabet = Alphabet.default(len(f_list))
-    key = tuple(f.fingerprint() for f in f_list)
-    return _term_cached(n, key, alphabet.letters)
+    return _term_cached(n, tuple(f_list), alphabet)
 
 
 def bch_term(n: int, alphabet: Alphabet | None = None) -> NCSeries:

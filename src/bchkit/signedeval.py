@@ -72,6 +72,8 @@ def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
         for j in range(i, n + 1):
             total = sum(comb(j - i, k - i) * prefix[j] * prefix[k] for k in range(i, j + 1))
             rows[i][j] = Fraction(total, factorial(j - i))
+    # Its own rational first-row log, not log_upper_right: a bug shared with the
+    # symbolic kernel would then make verify --modes signed pass while wrong.
     zero = Fraction(0)
     v = [zero] + [rows[0][j] for j in range(1, n + 1)]
     acc = v[n]

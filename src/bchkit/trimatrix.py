@@ -35,7 +35,9 @@ class SeriesSpec:
     """Coefficients c_0, c_1, ... of a power series f(t) with f(0) = 1.
 
     Coefficients past the end of the stored tuple are zero, so the
-    polynomial 1 + t is simply ``SeriesSpec.from_coeffs([1, 1])``.
+    polynomial 1 + t is simply ``SeriesSpec.from_coeffs([1, 1])``.  Trailing
+    zeros are trimmed on construction, so equal series are equal specs with
+    equal hashes.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -43,6 +45,10 @@ class SeriesSpec:
     def __post_init__(self) -> None:
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("series must satisfy f(0) = 1")
+        end = len(self.coeffs)
+        while end > 1 and self.coeffs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", self.coeffs[:end])
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Rational | int | str]) -> "SeriesSpec":
@@ -61,11 +67,8 @@ class SeriesSpec:
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
     def fingerprint(self) -> str:
-        """Canonical text form, trailing zeros trimmed; equal series agree."""
-        coeffs = list(self.coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return ",".join(str(c) for c in coeffs)
+        """Canonical text form; equal series agree."""
+        return ",".join(str(c) for c in self.coeffs)
 
     def __str__(self) -> str:
         return self.fingerprint()
@@ -118,9 +121,6 @@ class TriMatrix:
                 rows[i][i + 1] = MultilinearPoly.variable(n, i + 1, family)
         return cls(n, rows)
 
-    def entry(self, i: int, j: int) -> MultilinearPoly:
-        return self.rows[i][j]
-
     def has_unit_diagonal(self) -> bool:
         one = MultilinearPoly.constant(self.n, 1)
         return all(self.rows[i][i] == one for i in range(self.n + 1))
@@ -129,9 +129,6 @@ class TriMatrix:
         if not isinstance(other, TriMatrix):
             return NotImplemented
         return self.n == other.n and self.rows == other.rows
-
-    def __matmul__(self, other: "TriMatrix") -> "TriMatrix":
-        return mat_mul(self, other)
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -104,6 +104,12 @@ class NCSeries:
         """Graded-lexicographic: by length, then by letter indices."""
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
+    def homogeneous_slice(self, degree: int) -> "NCSeries":
+        """The words of length exactly ``degree``, as a degree-``degree`` series."""
+        return NCSeries(
+            self.alphabet, degree, {w: c for w, c in self.terms.items() if len(w) == degree}
+        )
+
     def _compatible(self, other: "NCSeries") -> None:
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")

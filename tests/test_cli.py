@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from bchkit import output
+from bchkit import cli, output
 from bchkit.cli import main
 
 
@@ -220,6 +220,41 @@ class TestBench:
         code, _, err = run(capsys, "bench", "abc")
         assert code == 1
         assert "range" in err
+
+
+class TestSizeLimit:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on an order over the size limit")
+
+        for name in ("_parse_series", "logf_term", "scan_nonvanishing", "term_uncached"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("term", "23"),
+            ("term", "1000000000"),
+            ("term", "12", "--factors", "4"),
+            ("scan", "64"),
+            ("bench", "1..30"),
+        ],
+    )
+    def test_oversized_order_refused_before_work(self, capsys, no_work, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"limit of {cli.MAX_WORDS}" in err
+
+    def test_limit_applies_to_words_of_the_term(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_WORDS", 16)
+        code, out, _ = run(capsys, "term", "4", "--no-cache")
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        code, _, err = run(capsys, "term", "5", "--no-cache")
+        assert code == 1
+        assert "limit of 16" in err
 
 
 class TestParsing:

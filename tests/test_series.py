@@ -79,6 +79,11 @@ class TestBchTerm:
     def test_repeat_calls_memoized(self):
         assert bch_term(5) is bch_term(5)
 
+    def test_memo_shared_by_equal_series(self):
+        f11 = SeriesSpec.from_coeffs([1, 1])
+        f1100 = SeriesSpec.from_coeffs([1, 1, 0, 0])
+        assert logf_term(3, [f1100, f1100]) is logf_term(3, [f11, f11])
+
     def test_custom_letters(self):
         ab = Alphabet(("a", "b"))
         z2 = bch_term(2, ab)

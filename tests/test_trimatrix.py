@@ -82,6 +82,13 @@ class TestSeriesSpec:
         assert SeriesSpec.from_coeffs([1, 1, 0, 0]).fingerprint() == "1,1"
         assert SeriesSpec.from_coeffs([1, 0, Fraction(1, 2)]).fingerprint() == "1,0,1/2"
 
+    def test_trailing_zeros_normalized(self):
+        padded = SeriesSpec.from_coeffs([1, 1, 0, 0])
+        short = SeriesSpec.from_coeffs([1, 1])
+        assert padded == short
+        assert hash(padded) == hash(short)
+        assert padded.fingerprint() == "1,1"
+
 
 class TestBuildFactorMatrix:
     def test_base_exp_n2(self):
