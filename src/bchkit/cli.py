@@ -192,7 +192,7 @@ def _first_diff(a: NCSeries, b: NCSeries) -> tuple[tuple[int, ...], Fraction, Fr
 
 
 # Per-mode order caps: the oracle's cost grows like m**n and the signed
-# reconstruction like 4**n, so each route has a practical ceiling.
+# route evaluates 2**n sign assignments, so each route has a practical ceiling.
 VERIFY_MODES = ("oracle", "multi", "signed", "dynkin")
 VERIFY_CAPS = {"oracle": 10, "multi": 6, "signed": 10, "dynkin": 12}
 
@@ -214,8 +214,10 @@ def _verify_pair(mode: str, n: int) -> tuple[NCSeries, NCSeries, Alphabet]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise UsageError(f"order must be >= 1, got {args.n_max}")
-    if args.modes:
+    if args.modes is not None:
         modes = [part.strip() for part in args.modes.split(",") if part.strip()]
+        if not modes:
+            raise UsageError(f"--modes names no mode; choose from {VERIFY_MODES}")
         unknown = [m for m in modes if m not in VERIFY_MODES]
         if unknown:
             raise UsageError(f"unknown modes {unknown}; choose from {VERIFY_MODES}")

@@ -11,8 +11,11 @@ symmetries predict exactly which assignments vanish:
   * reading an assignment in reverse order multiplies the value by
     (-1)**(n-1), so the all-plus assignment vanishes for odd n > 1.
 
-Assignments are independent, so table building and scans can fan out over
-worker processes; results are merged in enumeration order either way.
+A table lists the 2**n values by mask (bit i set: position i+1 carries
+-1); in that indexing reconstruction is an in-place Walsh-Hadamard
+transform over exact rationals.  Assignments are independent, so table
+building and scans can fan out over worker processes; results come back
+aligned with the masks either way.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ def _as_signs(n: int, signs: Sequence[int]) -> SignAssignment:
 def _mask_signs(n: int, mask: int) -> SignAssignment:
     # bit i set means position i+1 carries -1
     return tuple(-1 if (mask >> i) & 1 else 1 for i in range(n))
-
-
-def _gray_masks(n: int) -> list[int]:
-    return [i ^ (i >> 1) for i in range(1 << n)]
 
 
 def _reverse_mask(n: int, mask: int) -> int:
@@ -90,43 +89,40 @@ def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
     return acc
 
 
-def _eval_mask_chunk(args: tuple[int, list[int]]) -> list[Fraction]:
+def _eval_mask_chunk(args: tuple[int, Sequence[int]]) -> list[Fraction]:
     n, masks = args
     return [eval_assignment(n, _mask_signs(n, m)) for m in masks]
 
 
 def _values_for_masks(
     n: int, masks: Sequence[int], workers: int | None
-) -> dict[int, Fraction]:
-    """Evaluate each mask; merge preserves the order of ``masks``.
+) -> list[Fraction]:
+    """Evaluate each mask; the result is aligned with ``masks``.
 
     The pool never holds more than min(workers, cpu count, chunks)
     processes, whatever ``workers`` asks for.
     """
-    if not masks:
-        return {}
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers <= 1 or len(masks) < 4 * workers:
-        return {m: eval_assignment(n, _mask_signs(n, m)) for m in masks}
+        return _eval_mask_chunk((n, masks))
     chunk = (len(masks) + workers - 1) // workers
-    jobs = [(n, list(masks[lo : lo + chunk])) for lo in range(0, len(masks), chunk)]
-    out: dict[int, Fraction] = {}
+    jobs = [(n, masks[lo : lo + chunk]) for lo in range(0, len(masks), chunk)]
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        for (_, chunk_masks), values in zip(jobs, pool.map(_eval_mask_chunk, jobs)):
-            out.update(zip(chunk_masks, values))
-    return out
+        return [v for values in pool.map(_eval_mask_chunk, jobs) for v in values]
 
 
 @dataclass
 class SignedCoefficientTable:
     """Value of the log entry for every one of the 2**n assignments.
 
-    Both build modes fill the full map; pruning only changes which entries
-    are computed versus written down from the symmetry rules.
+    ``values[mask]`` is the value at the assignment with -1 exactly at
+    positions i+1 for the set bits i of ``mask``.  Both build modes fill
+    the full list; pruning only changes which entries are computed versus
+    written down from the symmetry rules.
     """
 
     n: int
-    values: dict[SignAssignment, Fraction] = field(default_factory=dict)
+    values: list[Fraction] = field(default_factory=list)
 
     def is_complete(self) -> bool:
         return len(self.values) == 1 << self.n
@@ -138,7 +134,7 @@ PRUNING_MODES = ("none", "symmetry")
 def build_table(
     n: int, pruning: str = "none", workers: int | None = None
 ) -> SignedCoefficientTable:
-    """Evaluate the sign lattice, walking it in Gray-code order.
+    """Evaluate the sign lattice.
 
     pruning="none" evaluates every assignment directly.
     pruning="symmetry" records even-plus-count assignments as zero without
@@ -149,36 +145,14 @@ def build_table(
         raise ValueError(f"order must be >= 1, got {n}")
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
-    masks = _gray_masks(n)
-    values: dict[SignAssignment, Fraction] = {}
     if pruning == "none":
-        computed = _values_for_masks(n, masks, workers)
-        for mask in masks:
-            values[_mask_signs(n, mask)] = computed[mask]
-    else:
-        flip = (-1) ** (n - 1)
-        reps = []
-        seen = set()
-        for mask in masks:
-            plus = n - mask.bit_count()
-            if plus % 2 == 0 or mask in seen:
-                continue
-            rev = _reverse_mask(n, mask)
-            seen.add(mask)
-            seen.add(rev)
-            reps.append(mask)
-        computed = _values_for_masks(n, reps, workers)
-        zero = Fraction(0)
-        for mask in masks:
-            plus = n - mask.bit_count()
-            if plus % 2 == 0:
-                values[_mask_signs(n, mask)] = zero
-        for rep in reps:
-            v = computed[rep]
-            values[_mask_signs(n, rep)] = v
-            rev = _reverse_mask(n, rep)
-            if rev != rep:
-                values[_mask_signs(n, rev)] = flip * v
+        return SignedCoefficientTable(n, _values_for_masks(n, range(1 << n), workers))
+    flip = (-1) ** (n - 1)
+    reps = [m for m in range(1 << n) if (n - m.bit_count()) % 2 and m <= _reverse_mask(n, m)]
+    values = [Fraction(0)] * (1 << n)
+    for rep, v in zip(reps, _values_for_masks(n, reps, workers)):
+        values[_reverse_mask(n, rep)] = flip * v
+        values[rep] = v
     return SignedCoefficientTable(n, values)
 
 
@@ -188,7 +162,8 @@ def reconstruct_term(
     """Rebuild the order-n word-basis term from a complete table.
 
     The word with y exactly at positions Y gets coefficient
-    2**(-n) sum_s value(s) prod_{i in Y} s_i.
+    2**(-n) sum_s value(s) prod_{i in Y} s_i, which is the Walsh-Hadamard
+    transform of the table with Y read as a mask.
     """
     if table.n != n:
         raise ValueError(f"table is for order {table.n}, not {n}")
@@ -196,23 +171,17 @@ def reconstruct_term(
         raise ValueError(f"table incomplete: {len(table.values)} of {1 << n} assignments")
     if alphabet is None:
         alphabet = Alphabet.default(2)
-    nonzero: list[tuple[int, Fraction]] = []
-    for signs, value in table.values.items():
-        if value:
-            mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
-            nonzero.append((mask, value))
+    t = list(table.values)
+    for bit in range(n):
+        h = 1 << bit
+        for i in range(1 << n):
+            if not i & h:
+                t[i], t[i + h] = t[i] + t[i + h], t[i] - t[i + h]
     scale = Fraction(1, 1 << n)
     terms = {}
-    for wmask in range(1 << n):
-        total = Fraction(0)
-        for negmask, value in nonzero:
-            if (wmask & negmask).bit_count() & 1:
-                total -= value
-            else:
-                total += value
+    for wmask, total in enumerate(t):
         if total:
-            word = tuple((wmask >> i) & 1 for i in range(n))
-            terms[word] = total * scale
+            terms[tuple((wmask >> i) & 1 for i in range(n))] = total * scale
     return NCSeries(alphabet, n, terms)
 
 
@@ -239,14 +208,13 @@ def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport
         raise ValueError(f"order must be >= 1, got {n_max}")
     reports = []
     for n in range(1, n_max + 1):
-        surviving = [m for m in _gray_masks(n) if (n - m.bit_count()) % 2 == 1]
+        surviving = [m for m in range(1 << n) if (n - m.bit_count()) % 2 == 1]
         pruned = (1 << n) - len(surviving)
-        computed = _values_for_masks(n, surviving, workers)
         structural = 0
         nonzero = 0
         unexpected = []
-        for mask in surviving:
-            if computed[mask]:
+        for mask, value in zip(surviving, _values_for_masks(n, surviving, workers)):
+            if value:
                 nonzero += 1
             elif mask == 0 and n > 1 and n % 2 == 1:
                 structural += 1

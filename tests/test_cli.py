@@ -1,8 +1,10 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import errno
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +180,13 @@ class TestVerify:
         assert code == 1
         assert "unknown modes" in err
 
+    @pytest.mark.parametrize("modes", [",", " ", ""])
+    def test_empty_mode_list_is_usage_error(self, capsys, modes):
+        code, out, err = run(capsys, "verify", "5", "--modes", modes)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestScan:
     def test_small_scan(self, capsys):
@@ -255,6 +264,20 @@ class TestSizeLimit:
         code, _, err = run(capsys, "term", "5", "--no-cache")
         assert code == 1
         assert "limit of 16" in err
+
+
+# stdout digests of fixed commands, recorded by perfbench/record_digests.py on
+# a commit whose output was known good; read only
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_stdout_matches_recorded_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
 
 
 class TestParsing:

@@ -1,6 +1,7 @@
 """The +-1 lattice: evaluation, tables, reconstruction, scanning."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from bchkit import signedeval
 from bchkit.series import bch_term
 from bchkit.signedeval import (
     SignedCoefficientTable,
-    _gray_masks,
+    _mask_signs,
+    _reverse_mask,
     _values_for_masks,
     build_table,
     eval_assignment,
@@ -82,10 +84,10 @@ class TestBuildTable:
     def test_n2_census(self):
         table = build_table(2)
         assert len(table.values) == 4
-        assert table.values[(-1, 1)] == 1
-        assert table.values[(1, -1)] == -1
-        assert table.values[(1, 1)] == 0
-        assert table.values[(-1, -1)] == 0
+        assert table.values[0b01] == 1
+        assert table.values[0b10] == -1
+        assert table.values[0b00] == 0
+        assert table.values[0b11] == 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pruned_equals_unpruned(self, n):
@@ -103,11 +105,22 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_table(3, "fastest")
 
-    def test_gray_walk_covers_lattice_one_flip_at_a_time(self):
-        masks = _gray_masks(5)
-        assert sorted(masks) == list(range(32))
-        for a, b in zip(masks, masks[1:]):
-            assert (a ^ b).bit_count() == 1
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symmetry_evaluates_one_mask_per_reversal_pair(self, monkeypatch, n):
+        evaluated = []
+
+        def counting(order, signs):
+            evaluated.append(signs)
+            return eval_assignment(order, signs)
+
+        monkeypatch.setattr(signedeval, "eval_assignment", counting)
+        odd_plus = [m for m in range(1 << n) if (n - m.bit_count()) % 2 == 1]
+        pairs = {min(m, _reverse_mask(n, m)) for m in odd_plus}
+        build_table(n, "symmetry")
+        assert sorted(evaluated) == sorted(_mask_signs(n, m) for m in pairs)
+        evaluated.clear()
+        build_table(n, "none")
+        assert sorted(evaluated) == sorted(_mask_signs(n, m) for m in range(1 << n))
 
 
 class TestReconstruct:
@@ -125,7 +138,7 @@ class TestReconstruct:
 
     def test_incomplete_table_rejected(self):
         table = build_table(3)
-        del table.values[(1, 1, 1)]
+        del table.values[0]
         with pytest.raises(ValueError):
             reconstruct_term(3, table)
 
@@ -135,6 +148,20 @@ class TestReconstruct:
 
     def test_empty_table_type(self):
         assert not SignedCoefficientTable(3).is_complete()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_tables_match_the_definition(self, n):
+        # tables without the BCH symmetries, so a bit-order slip cannot cancel out
+        rng = random.Random(1000 + n)
+        values = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(1 << n)
+        ]
+        z = reconstruct_term(n, SignedCoefficientTable(n, values))
+        for y in range(1 << n):
+            total = sum(v * (-1) ** (m & y).bit_count() for m, v in enumerate(values))
+            word = tuple((y >> i) & 1 for i in range(n))
+            assert z.coefficient(word) == Fraction(total, 1 << n)
 
 
 class TestScan:
@@ -205,8 +232,8 @@ class TestWorkerCap:
     )
     def test_pool_size(self, monkeypatch, pool_sizes, requested, cpus, masks, expected):
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: cpus)
-        chosen = _gray_masks(6)[:masks]
+        chosen = list(range(64))[:masks]
         got = _values_for_masks(6, chosen, requested)
         assert pool_sizes == expected
-        assert list(got) == chosen
+        assert got == [eval_assignment(6, _mask_signs(6, m)) for m in chosen]
         assert got == _values_for_masks(6, chosen, None)
