@@ -93,7 +93,7 @@ class OutputDocument:
     @classmethod
     def from_json_text(cls, text: str) -> "OutputDocument":
         body = json.loads(text)
-        if body.get("tool") != TOOL_NAME:
+        if not isinstance(body, dict) or body.get("tool") != TOOL_NAME:
             raise ValueError(f"not a {TOOL_NAME} document")
         dynkin = body.get("dynkin")
         return cls(
@@ -103,8 +103,8 @@ class OutputDocument:
             factors=body["factors"],
             letters=tuple(body["letters"]),
             series=tuple(body["series"]),
-            terms=[tuple(row) for row in body["terms"]],
-            dynkin=None if dynkin is None else [tuple(row) for row in dynkin],
+            terms=[(w, num, den) for w, num, den in body["terms"]],
+            dynkin=None if dynkin is None else [(b, num, den) for b, num, den in dynkin],
         )
 
 

@@ -1,11 +1,12 @@
 """Numeric +-1 evaluation of the log entry over the sign lattice.
 
 Substituting an assignment of +-1 for the position variables turns the
-whole matrix computation numeric: the two-factor product FG becomes a
-matrix of exact rationals and its log entry a single rational per
-assignment.  Summing value(s) * (x + s_1 y)...(x + s_n y) over all 2**n
-assignments, divided by 2**n, reproduces the order-n term, and two
-symmetries predict exactly which assignments vanish:
+whole matrix computation numeric: the two-factor product is applied
+factor by factor as F D F D on integer rows, with D the diagonal of sign
+prefix products, and its log entry is a single rational per assignment.
+Summing value(s) * (x + s_1 y)...(x + s_n y) over all 2**n assignments,
+divided by 2**n, reproduces the order-n term, and two symmetries predict
+exactly which assignments vanish:
 
   * an even number of +1 entries forces value zero;
   * reading an assignment in reverse order multiplies the value by
@@ -24,7 +25,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .words import Alphabet, NCSeries
@@ -57,36 +58,33 @@ def _reverse_mask(n: int, mask: int) -> int:
 def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
     """Exact value of the (1, n+1) log entry at one +-1 assignment.
 
-    The product matrix is built numerically: with prefix products
-    P_t = s_1 s_2 ... s_t, entry (i, j) of FG is
-    sum_k C(j-i, k-i) P_j P_k / (j-i)!.  The log then runs as a first-row
-    iteration over plain rationals.
+    With prefix products P_t = s_1 s_2 ... s_t and D = diag(P_0, ..., P_n),
+    the second factor is D F D, so the product is F D F D.  Scaling column
+    j by j! turns F into the Pascal matrix C(j, k) and keeps every row
+    integral, so u_q = u_{q-1} (F D F D - I) from u_0 = e_0 runs on Python
+    ints; the entry is sum_q (-1)**(q+1) (L/q) u_q[n] / (L n!) with
+    L = lcm(1..n).
     """
     s = _as_signs(n, signs)
-    prefix = [1] * (n + 1)
-    for p in range(1, n + 1):
-        prefix[p] = prefix[p - 1] * s[p - 1]
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            total = sum(comb(j - i, k - i) * prefix[j] * prefix[k] for k in range(i, j + 1))
-            rows[i][j] = Fraction(total, factorial(j - i))
-    # Its own rational first-row log, not log_upper_right: a bug shared with the
+    prefix = [1]
+    for x in s:
+        prefix.append(prefix[-1] * x)
+    # Its own first-row log, not log_upper_right: a bug shared with the
     # symbolic kernel would then make verify --modes signed pass while wrong.
-    zero = Fraction(0)
-    v = [zero] + [rows[0][j] for j in range(1, n + 1)]
-    acc = v[n]
-    for q in range(2, n + 1):
-        w = [zero] * (n + 1)
-        for j in range(q, n + 1):
-            t = zero
-            for k in range(q - 1, j):
-                if v[k]:
-                    t += v[k] * rows[k][j]
-            w[j] = t
-        acc += Fraction((-1) ** (q + 1), q) * w[n]
-        v = w
-    return acc
+    big = lcm(*range(1, n + 1))
+    u = [1] + [0] * n
+    acc = 0
+    for q in range(1, n + 1):
+        w = list(u)
+        for _ in range(2):
+            # w[j] <- sum_k C(j, k) w[k], done as n passes of neighbour additions
+            for i in range(n, 0, -1):
+                for j in range(i, n + 1):
+                    w[j] += w[j - 1]
+            w = [p * x for p, x in zip(prefix, w)]
+        u = [a - b for a, b in zip(w, u)]
+        acc += (-1) ** (q + 1) * (big // q) * u[n]
+    return Fraction(acc, big * factorial(n))
 
 
 def _eval_mask_chunk(args: tuple[int, Sequence[int]]) -> list[Fraction]:

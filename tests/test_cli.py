@@ -117,6 +117,18 @@ class TestTerm:
         assert out2 == out1
         assert list(isolated_cache.glob("*.json")) == entries
 
+    def test_malformed_entry_is_recomputed(self, capsys, isolated_cache):
+        code, _, _ = run(capsys, "term", "2")
+        assert code == 0
+        [entry] = isolated_cache.glob("*.json")
+        good = entry.read_text()
+        entry.write_text("[]")
+        code, out, err = run(capsys, "term", "2")
+        assert code == 0
+        assert out.splitlines() == ["1/2  xy", "-1/2  yx"]
+        assert err == ""
+        assert entry.read_text() == good
+
     def test_no_cache_leaves_nothing(self, capsys, isolated_cache):
         code, _, _ = run(capsys, "term", "3", "--no-cache")
         assert code == 0

@@ -159,6 +159,15 @@ class TestCache:
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cache_load(key, tmp_path) is None
 
+    @pytest.mark.parametrize("case", ["list", "string", "two_field_row"])
+    def test_malformed_entry_behaves_like_miss(self, tmp_path, case):
+        key = "e" * 64
+        body = json.loads(make_doc(3).to_json_text())
+        body["terms"][0] = body["terms"][0][:2]
+        text = {"list": "[]", "string": '"xxy"', "two_field_row": json.dumps(body)}[case]
+        (tmp_path / f"{key}.json").write_text(text)
+        assert cache_load(key, tmp_path) is None
+
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("BCHKIT_CACHE_DIR", str(tmp_path / "override"))
         assert cache_dir() == tmp_path / "override"
