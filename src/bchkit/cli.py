@@ -28,7 +28,7 @@ from .output import (
     cache_load,
     cache_store,
 )
-from .series import bch_term, bch_term_multi, logf_term, term_uncached
+from .series import MAX_WORDS, bch_term, bch_term_multi, check_order, logf_term, term_uncached
 from .signedeval import build_table, reconstruct_term, scan_nonvanishing
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries
@@ -36,20 +36,6 @@ from .words import Alphabet, NCSeries
 
 class UsageError(Exception):
     pass
-
-
-# z_n over m letters has up to m**n words, and scan and bench walk 2**n sign
-# assignments per order: orders past this are refused before any work starts.
-MAX_WORDS = 1 << 22
-
-
-def _check_size(base: int, n: int) -> None:
-    # base >= 2, so base**n > MAX_WORDS once n reaches its bit length; testing
-    # that first keeps the check itself from building a huge power
-    if n >= MAX_WORDS.bit_length() or base**n > MAX_WORDS:
-        raise UsageError(
-            f"order {n} needs up to {base}^{n} words, over the limit of {MAX_WORDS}"
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,7 +144,7 @@ def cmd_term(args: argparse.Namespace) -> int:
         raise UsageError(f"order must be >= 1, got {args.n}")
     if args.factors < 2:
         raise UsageError(f"--factors must be >= 2, got {args.factors}")
-    _check_size(args.factors, args.n)
+    check_order(args.n, args.factors, MAX_WORDS)
     alphabet = _parse_letters(args.letters, args.factors)
     series_names, specs = _parse_series(args.series, args.factors, args.n)
     key = cache_key(__version__, "term", args.n, alphabet.letters, series_names, args.dynkin)
@@ -215,7 +201,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise UsageError(f"order must be >= 1, got {args.n_max}")
     if args.modes is not None:
-        modes = [part.strip() for part in args.modes.split(",") if part.strip()]
+        # a mode named twice runs once, in the order first named
+        modes = list(dict.fromkeys(p.strip() for p in args.modes.split(",") if p.strip()))
         if not modes:
             raise UsageError(f"--modes names no mode; choose from {VERIFY_MODES}")
         unknown = [m for m in modes if m not in VERIFY_MODES]
@@ -254,7 +241,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise UsageError(f"order must be >= 1, got {args.n_max}")
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    _check_size(2, args.n_max)
+    check_order(args.n_max, 2, MAX_WORDS)
     reports = scan_nonvanishing(args.n_max, workers=args.workers)
     bad = 0
     for r in reports:
@@ -285,6 +272,8 @@ def _parse_range(raw: str) -> tuple[int, int]:
         raise UsageError(f"bad range {raw!r}; expected LO..HI or a bare integer")
     if lo < 1:
         raise UsageError(f"range must start at 1 or above, got {lo}")
+    if hi < lo:
+        raise UsageError(f"empty range {raw!r}: HI must be >= LO")
     return lo, hi
 
 
@@ -301,7 +290,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     if args.repeat < 1:
         raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
-    _check_size(2, hi)
+    check_order(hi, 2, MAX_WORDS)
     rows = []
     for n in range(lo, hi + 1):
         exp = SeriesSpec.exponential(n)

@@ -1,20 +1,44 @@
-"""Top-level term computations: the T operator, log(e^x e^y), multi-factor
-products, and products of arbitrary power series with f(0) = 1.
+"""Top-level term computations: log(e^x e^y), multi-factor products, and
+products of arbitrary power series with f(0) = 1.
 
-The route is always the same: build one unit-triangular factor matrix per
-letter, multiply them, take the upper-right entry of the exact matrix
-logarithm, and transport the resulting multilinear polynomial to the word
-basis with the T operator.
+z_n is the top-right entry of log(F_0 F_1 ... F_{m-1}) for the factor
+matrices of ``trimatrix``.  Only the first row of the log is needed, so no
+matrix is formed: v_q = v_{q-1} F_0 ... F_{m-1} - v_{q-1} from v_0 = e_0,
+and z_n = sum_q (-1)^{q+1} v_q[n] / q.  Column j is scaled by an integer S_j
+and 1/q becomes L/q with L = lcm(1..n), so everything runs on integers.
+Row entry v[k] is one Python int packing one lane per word over positions
+1..k (Kronecker substitution): lane i is the word whose base-m digits,
+position 1 least significant, spell i, so a family-f run over positions
+k+1..j shifts a lane by f (m^k + ... + m^{j-1}) lanes.  The matrix route
+(build_factor_matrix, mat_mul, log_upper_right, t_operator) is the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
+from itertools import product
+from math import lcm
 from typing import Sequence
 
 from .multilinear import MultilinearPoly, mono_digits
+# perfbench/tracing.py wraps the matrix route's names in this module
 from .trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from .words import Alphabet, NCSeries
+
+# z_n over m letters has up to m**n words, one lane each
+MAX_WORDS = 1 << 22
+
+
+def check_order(n: int, m: int = 2, limit: int = MAX_WORDS) -> None:
+    """Refuse, before any work, n < 1 and orders with over ``limit`` words."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    # m >= 2, so m**n > limit once n reaches its bit length; testing that
+    # first keeps the check itself from building a huge power
+    if n >= limit.bit_length() or m**n > limit:
+        raise ValueError(f"order {n} needs up to {m}^{n} words, over the limit of {limit}")
 
 
 def t_operator(p: MultilinearPoly, alphabet: Alphabet) -> NCSeries:
@@ -28,25 +52,91 @@ def t_operator(p: MultilinearPoly, alphabet: Alphabet) -> NCSeries:
     return NCSeries(alphabet, n, {mono_digits(n, mono): c for mono, c in p.terms.items()})
 
 
-def _check_order(n: int) -> None:
-    # The construction starts at n = 1; n = 0 has no degenerate meaning here.
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+def _scaled_steps(n: int, f_list: Sequence[SeriesSpec]) -> tuple[int, list[list[list[int]]]]:
+    """L S_n and the integer steps a[f][k][j] = c^f_{j-k} S_j / S_k, where S_0 = 1
+    and S_j = lcm over f and k < j of S_k den(c^f_{j-k}); for exp S_j = j!."""
+    s = [1]
+    for j in range(1, n + 1):
+        s.append(lcm(*(s[k] * f.coeff(j - k).denominator for f in f_list for k in range(j))))
+    steps = [[[0] * (n + 1) for _ in range(n + 1)] for _ in f_list]
+    for a, f in zip(steps, f_list):
+        for k in range(n + 1):
+            for j in range(k, n + 1):
+                c = f.coeff(j - k)
+                a[k][j] = c.numerator * (s[j] // (s[k] * c.denominator))
+    return lcm(*range(1, n + 1)) * s[n], steps
+
+
+def _row_powers(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int):
+    """Yield S_n v_q[n] for q = 1..n, ``width`` bits per lane; at width 0
+    each row entry holds the sum of its lanes."""
+    m = len(steps)
+    v = [1] + [0] * n
+    for q in range(1, n + 1):
+        w = v  # v_{q-1}, and every factor step of it, is zero below column q-1
+        for f, a in enumerate(steps):
+            shift = [width * f * m**k for k in range(n + 1)]
+            nxt = [0] * (n + 1)
+            for j in range(q - 1, n + 1):
+                # Horner over k: each partial sum moves on by f m^k lanes
+                total = 0
+                for k in range(q - 1, j):
+                    total = (total + w[k] * a[k][j]) << shift[k]
+                nxt[j] = total + w[j]  # a[j][j] = c_0 = 1
+            w = nxt
+        v = [x - y for x, y in zip(w, v)]
+        yield v[n]
+
+
+def lane_width(n: int, steps: Sequence[Sequence[Sequence[int]]]) -> int:
+    """Lane bits that provably hold every lane of ``packed_log_entry``.
+
+    On |a[f][k][j]| at width 0 the recurrence bounds the sum of |lane| over
+    the lanes of S_n v_q[n], so each lane; the L/q weights add these up.
+    One sign bit more, rounded up to whole bytes.
+    """
+    top = lcm(*range(1, n + 1))
+    absolute = [[[abs(x) for x in row] for row in a] for a in steps]
+    bound = sum(top // q * b for q, b in enumerate(_row_powers(n, absolute, 0), 1))
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def packed_log_entry(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int) -> int:
+    """L S_n times the (1, n+1) log entry, one ``width``-bit lane per word."""
+    top = lcm(*range(1, n + 1))
+    powers = _row_powers(n, steps, width)
+    return sum((-1) ** (q + 1) * (top // q) * v for q, v in enumerate(powers, 1))
+
+
+def unpack_lanes(packed: int, width: int, lanes: int) -> list[int]:
+    """Every lane of ``packed``, lowest first, as a signed integer.
+
+    Adding 2^(width-1) to each lane makes it a nonnegative ``width``-bit
+    digit, so one ``to_bytes`` call splits them.  A top lane that does not
+    fit raises OverflowError; the others rely on ``lane_width``.
+    """
+    size = width // 8
+    half = 1 << (width - 1)
+    # repeated bytes: a sum of half << width*i would be quadratic
+    offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
+    data = (packed + offset).to_bytes(size * lanes, "little")
+    return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
 
 
 def _term_for(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet) -> NCSeries:
-    _check_order(n)
-    if len(f_list) < 2:
-        raise ValueError(f"need at least 2 factors, got {len(f_list)}")
-    if len(f_list) != alphabet.size:
-        raise ValueError(
-            f"{len(f_list)} factors need {len(f_list)} letters, alphabet has {alphabet.size}"
-        )
-    product = None
-    for family, f in enumerate(f_list):
-        factor = build_factor_matrix(n, family, f)
-        product = factor if product is None else mat_mul(product, factor)
-    return t_operator(log_upper_right(product), alphabet)
+    m = len(f_list)
+    if m < 2:
+        raise ValueError(f"need at least 2 factors, got {m}")
+    if m != alphabet.size:
+        raise ValueError(f"{m} factors need {m} letters, alphabet has {alphabet.size}")
+    check_order(n, m)
+    den, steps = _scaled_steps(n, f_list)
+    width = lane_width(n, steps)
+    lanes = unpack_lanes(packed_log_entry(n, steps, width), width, m**n)
+    # product() counts with the first digit most significant, lanes with
+    # position 1 least significant: reversed, its tuples are the lanes' words
+    words = product(range(m), repeat=n)
+    return NCSeries(alphabet, n, {w[::-1]: Fraction(c, den) for w, c in zip(words, lanes) if c})
 
 
 @cache
@@ -55,24 +145,19 @@ def _term_cached(n: int, f_list: tuple[SeriesSpec, ...], alphabet: Alphabet) -> 
 
 
 def _dispatch(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet | None) -> NCSeries:
-    _check_order(n)
-    if alphabet is None:
-        alphabet = Alphabet.default(len(f_list))
-    return _term_cached(n, tuple(f_list), alphabet)
+    return _term_cached(n, tuple(f_list), alphabet or Alphabet.default(len(f_list)))
 
 
 def bch_term(n: int, alphabet: Alphabet | None = None) -> NCSeries:
     """The complete order-n term of log(e^x e^y), exact rationals."""
-    _check_order(n)
-    exp = SeriesSpec.exponential(n)
-    return _dispatch(n, [exp, exp], alphabet)
+    return bch_term_multi(n, 2, alphabet)
 
 
 def bch_term_multi(n: int, m: int, alphabet: Alphabet | None = None) -> NCSeries:
     """Order-n term of log(e^{a_0} e^{a_1} ... e^{a_{m-1}}) over m letters."""
-    _check_order(n)
     if m < 2:
         raise ValueError(f"factor count must be >= 2, got {m}")
+    check_order(n, m)
     exp = SeriesSpec.exponential(n)
     return _dispatch(n, [exp] * m, alphabet)
 
@@ -95,6 +180,4 @@ def clear_term_cache() -> None:
 
 def term_uncached(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
     """One full pipeline run bypassing the memo cache (benchmarking support)."""
-    if alphabet is None:
-        alphabet = Alphabet.default(len(f_list))
-    return _term_for(n, list(f_list), alphabet)
+    return _term_for(n, list(f_list), alphabet or Alphabet.default(len(f_list)))

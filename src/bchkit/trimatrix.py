@@ -8,26 +8,23 @@ superdiagonal matrix S is nilpotent with S**(n+1) = 0, so any power series
 applied to S collapses to a polynomial and both the series evaluation and
 the matrix logarithm below terminate exactly.
 
-The logarithm's first-row recurrence carries no fractions.  Column j of the
-product has an integer scale S_j (S_0 = 1, S_j = lcm over k < j of S_k times
-the common denominator of entry (k, j)), every entry is stored once as an
-integer polynomial on its column's scale, and the log's 1/q weights are folded
-into L = lcm(1..n).  Rationals appear only at the end: one Fraction per
-surviving monomial, its integer sum over L * S_n.  With exp factors S_j = j!.
+These matrices are the reference route.  The kernel in ``series`` applies
+the same factor matrices, as integer step coefficients, to a packed first
+row and never forms a matrix; ``mat_mul`` and the plain Fraction
+``log_upper_right`` here are what the tests compare it against, and
+``word_matrix_product`` checks the word-to-matrix identity directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Iterable, Sequence
 
-from .multilinear import MultilinearPoly, Rational, SupportOverlapError, mono_support
+from .multilinear import MultilinearPoly, Rational
 
 BASE_FAMILY = 0
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class TriMatrix:
     @classmethod
     def identity(cls, n: int) -> "TriMatrix":
         zero = MultilinearPoly.zero(n)
-        diag = MultilinearPoly.constant(n, ONE)
+        diag = MultilinearPoly.constant(n, 1)
         rows = [
             [diag if i == j else zero for j in range(n + 1)] for i in range(n + 1)
         ]
@@ -130,12 +127,6 @@ class TriMatrix:
             return NotImplemented
         return self.n == other.n and self.rows == other.rows
 
-    def __repr__(self) -> str:
-        body = "; ".join(
-            "[" + ", ".join(str(e) for e in row) + "]" for row in self.rows
-        )
-        return f"TriMatrix(n={self.n}, {body})"
-
 
 def mat_mul(a: TriMatrix, b: TriMatrix) -> TriMatrix:
     """Exact product; triangularity keeps the inner sum to k in i..j."""
@@ -165,8 +156,6 @@ def build_factor_matrix(n: int, family: int, f: SeriesSpec) -> TriMatrix:
         raise ValueError(f"order must be >= 1, got {n}")
     if family < 0:
         raise ValueError(f"family must be >= 0, got {family}")
-    if f.coeff(0) != 1:
-        raise ValueError("series must satisfy f(0) = 1")
     shift = (family - 1) * n
     zero = MultilinearPoly.zero(n)
     rows = [[zero] * (n + 1) for _ in range(n + 1)]
@@ -177,14 +166,6 @@ def build_factor_matrix(n: int, family: int, f: SeriesSpec) -> TriMatrix:
     return TriMatrix(n, rows)
 
 
-def _support(n: int, monos: Iterable[int]) -> int:
-    """Union of the positions occupied by any of ``monos``, as an n-bit mask."""
-    union = 0
-    for mono in monos:
-        union |= mono
-    return mono_support(n, union)
-
-
 def log_upper_right(p: TriMatrix) -> MultilinearPoly:
     """Entry (1, n+1) of log p for unit-diagonal p, as a MultilinearPoly.
 
@@ -192,77 +173,22 @@ def log_upper_right(p: TriMatrix) -> MultilinearPoly:
     p - I is strictly upper triangular.  Only the first row of each power
     is needed: v_q = v_{q-1} (p - I), starting from the first row of p - I.
     The first row of (p - I)^q vanishes on columns < q, which bounds the
-    inner sum below.
-
-    The recurrence runs on integers.  Column j gets the scale S_j, with
-    S_0 = 1 and S_j = lcm over k < j of S_k times den(p[k][j]), the lcm of
-    that entry's coefficient denominators.  Entry (k, j) is stored once as
-    the integer polynomial p[k][j] * S_j / S_k, so V_q[j] = S_j v_q[j]
-    satisfies V_q[j] = sum_k V_{q-1}[k] (p[k][j] S_j / S_k) without a
-    single division.  The log's (-1)^{q+1}/q becomes the integer weight
-    (-1)^{q+1} L/q with L = lcm(1..n), and the result is built with one
-    Fraction per monomial: acc / (L S_n).  For exp factors S_j = j!, so
-    the stored entries are binomial sums; any other series finds its own
-    common denominators the same way.
-
-    A product term is the union ma | mb of two monomials.  The factors of
-    a legitimate product occupy disjoint positions, so each block
-    (v[k], p[k][j]) is checked once: any shared position raises
-    SupportOverlapError.
+    inner sum below.  Products go through MultilinearPoly, so two factors
+    sharing a position raise SupportOverlapError.
     """
     if not p.has_unit_diagonal():
         raise ValueError("log requires a unit diagonal")
     n = p.n
-    scales = [1] * (n + 1)
-    for j in range(1, n + 1):
-        scales[j] = lcm(*(
-            scales[k] * lcm(*(c.denominator for c in p.rows[k][j].terms.values()))
-            for k in range(j)
-        ))
-    # scaled[k][j] = (terms of p[k][j] * S_j / S_k, support of p[k][j]), or None
-    scaled = [[None] * (n + 1) for _ in range(n + 1)]
-    for k in range(n):
-        for j in range(k + 1, n + 1):
-            terms = p.rows[k][j].terms
-            if terms:
-                ratio = scales[j] // scales[k]
-                items = [
-                    (mono, c.numerator * (ratio // c.denominator)) for mono, c in terms.items()
-                ]
-                scaled[k][j] = (items, _support(n, terms))
-    top = lcm(*range(1, n + 1))
-    v = [{}] + [dict(entry[0]) if entry else {} for entry in scaled[0][1:]]
-    acc = {mono: top * c for mono, c in v[n].items()}
+    zero = MultilinearPoly.zero(n)
+    v = [zero] + p.rows[0][1:]
+    acc = v[n]
     for q in range(2, n + 1):
-        supports = [_support(n, vk) for vk in v]
-        w = [{}] * (n + 1)
-        for j in range(q, n + 1):
-            s: dict[int, int] = {}
-            get = s.get
-            for k in range(q - 1, j):
-                vk = v[k]
-                block = scaled[k][j]
-                if not vk or block is None:
-                    continue
-                items, support = block
-                if supports[k] & support:
-                    raise SupportOverlapError(
-                        f"row entry {k} and matrix entry ({k},{j}) share a position"
-                    )
-                vitems = vk.items()
-                for mb, cb in items:
-                    for ma, ca in vitems:
-                        mono = ma | mb
-                        s[mono] = get(mono, 0) + ca * cb
-            w[j] = {mono: c for mono, c in s.items() if c}
-        weight = top // q if q % 2 else -(top // q)
-        for mono, c in w[n].items():
-            acc[mono] = acc.get(mono, 0) + weight * c
-        v = w
-    den = top * scales[n]
-    result = MultilinearPoly(n)
-    result.terms = {mono: Fraction(c, den) for mono, c in acc.items() if c}
-    return result
+        v = [zero] * q + [
+            sum((v[k] * p.rows[k][j] for k in range(q - 1, j) if v[k]), zero)
+            for j in range(q, n + 1)
+        ]
+        acc = acc + v[n] * Fraction((-1) ** (q + 1), q)
+    return acc
 
 
 def word_matrix_product(n: int, word: "str | Sequence[int]") -> MultilinearPoly:

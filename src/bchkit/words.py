@@ -87,9 +87,9 @@ class NCSeries:
                     raise ValueError(
                         f"word {alphabet.word_str(word)} exceeds max degree {max_degree}"
                     )
-                if any(not 0 <= i < m for i in word):
+                if word and not (0 <= min(word) and max(word) < m):
                     raise ValueError(f"letter index out of range in {word}")
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     self.terms[word] = c
 

@@ -192,6 +192,12 @@ class TestVerify:
         assert code == 1
         assert "unknown modes" in err
 
+    def test_repeated_mode_runs_once(self, capsys):
+        _, once, _ = run(capsys, "verify", "3", "--modes", "signed")
+        code, twice, _ = run(capsys, "verify", "3", "--modes", "signed,signed")
+        assert code == 0
+        assert twice == once
+
     @pytest.mark.parametrize("modes", [",", " ", ""])
     def test_empty_mode_list_is_usage_error(self, capsys, modes):
         code, out, err = run(capsys, "verify", "5", "--modes", modes)
@@ -225,9 +231,16 @@ class TestBench:
         assert len(out.splitlines()) == 3
 
     def test_empty_range(self, capsys):
-        code, out, _ = run(capsys, "bench", "5..2", "--repeat", "1")
-        assert code == 0
-        assert len(out.splitlines()) == 1
+        code, out, err = run(capsys, "bench", "5..2", "--repeat", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_bare_zero_is_an_empty_range(self, capsys):
+        code, out, err = run(capsys, "bench", "0", "--repeat", "1")
+        assert code == 1
+        assert out == ""
+        assert "empty range" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "bench", "1..2", "--repeat", "2", "--format", "json")
@@ -290,6 +303,18 @@ def test_stdout_matches_recorded_digest(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+# the same for orders past the benchmark's and for three and four factors,
+# recorded from the matrix-product kernel that the packed kernel replaced
+TERM_DIGESTS = json.loads((Path(__file__).resolve().parent / "term_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(TERM_DIGESTS))
+def test_term_stdout_matches_matrix_kernel_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TERM_DIGESTS[command]
 
 
 class TestParsing:

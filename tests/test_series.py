@@ -1,14 +1,16 @@
 """The T operator and the top-level term computations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bchkit import series as series_module
 from bchkit.freealgebra import oracle_bch
 from bchkit.multilinear import MultilinearPoly, mono_from_positions
 from bchkit.series import bch_term, bch_term_multi, logf_term, t_operator
-from bchkit.trimatrix import SeriesSpec
+from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet, NCSeries
 
 A2 = Alphabet.default(2)
@@ -216,3 +218,93 @@ def factor_series(draw):
 def test_logf_term_matches_oracle_on_random_series(case):
     n, specs = case
     assert logf_term(n, specs) == oracle_bch(n, len(specs), specs)
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize(
+        "call", [lambda: bch_term(23), lambda: bch_term_multi(12, 4)], ids=["23", "12x4"]
+    )
+    def test_oversized_term_refused_before_work(self, monkeypatch, call):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on an order over the size limit")
+
+        monkeypatch.setattr(series_module, "_scaled_steps", refuse)
+        with pytest.raises(ValueError, match=f"limit of {series_module.MAX_WORDS}"):
+            call()
+
+
+def random_spec(rng, n):
+    # about half the coefficients zero, the rest of either sign
+    return SeriesSpec.from_coeffs(
+        [1] + [rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))) for _ in range(n)]
+    )
+
+
+# largest order cross-checked against the matrix route per factor count; the
+# plain Fraction log there grows like m**n per row entry
+MATRIX_MAX_ORDER = {2: 9, 3: 6, 4: 5}
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m, top in MATRIX_MAX_ORDER.items() for n in range(1, top + 1)]
+)
+def test_logf_term_matches_matrix_route(m, n):
+    specs = [random_spec(random.Random(100 * m + n + f), n) for f in range(m)]
+    product = build_factor_matrix(n, 0, specs[0])
+    for family, f in enumerate(specs[1:], start=1):
+        product = mat_mul(product, build_factor_matrix(n, family, f))
+    assert logf_term(n, specs) == t_operator(log_upper_right(product), Alphabet.default(m))
+
+
+def largest_lane_bits(n, specs):
+    """Bit length of the largest packed lane, max |c| L S_n over the words."""
+    den, _ = series_module._scaled_steps(n, specs)
+    return max(abs(c * den).numerator for c in logf_term(n, specs).terms.values()).bit_length()
+
+
+def exp_factors(n, m):
+    return [SeriesSpec.exponential(n)] * m
+
+
+LANE_CASES = [
+    *[(n, exp_factors(n, 2)) for n in (5, 8, 11, 14)],
+    (8, exp_factors(8, 3)),
+    (6, exp_factors(6, 4)),
+    (9, [random_spec(random.Random(9 + f), 9) for f in range(2)]),
+    (6, [random_spec(random.Random(6 + f), 6) for f in range(3)]),
+]
+
+
+def term_at_width(monkeypatch, n, specs, width):
+    """The term computed with ``width`` bits per lane; None if unpacking overflowed."""
+    monkeypatch.setattr(series_module, "lane_width", lambda n, steps: width)
+    try:
+        return series_module.term_uncached(n, specs)
+    except OverflowError:
+        return None
+
+
+class TestLaneWidth:
+    @pytest.mark.parametrize("n,specs", LANE_CASES)
+    def test_width_leaves_a_sign_bit_over_the_largest_lane(self, n, specs):
+        _, steps = series_module._scaled_steps(n, specs)
+        assert series_module.lane_width(n, steps) > largest_lane_bits(n, specs)
+
+    @pytest.mark.parametrize("n,specs", LANE_CASES)
+    def test_lanes_one_byte_short_corrupt_the_term(self, monkeypatch, n, specs):
+        # the narrowest whole-byte width holding the largest lane and a sign
+        # bit reproduces the term; eight bits less must not pass unnoticed
+        reference = logf_term(n, specs)
+        tight = (largest_lane_bits(n, specs) + 8) // 8 * 8
+        assert term_at_width(monkeypatch, n, specs, tight) == reference
+        assert term_at_width(monkeypatch, n, specs, tight - 8) != reference
+
+    @pytest.mark.parametrize("n,specs", LANE_CASES[-2:])
+    def test_kernel_width_cut_by_a_byte_is_caught(self, monkeypatch, n, specs):
+        # on dense random series the bound lies within a byte of the largest
+        # lane (on exp it is 20 and more bits above), so the kernel's own
+        # width less 8 bits must change the term or raise
+        reference = logf_term(n, specs)
+        _, steps = series_module._scaled_steps(n, specs)
+        width = series_module.lane_width(n, steps)
+        assert term_at_width(monkeypatch, n, specs, width - 8) != reference

@@ -46,17 +46,28 @@ class TestEvalAssignment:
 
     @pytest.mark.parametrize("n", [*range(1, 7), 11, 12])
     def test_agrees_with_symbolic_evaluation(self, n):
-        # numeric route vs. substituting into the symbolic polynomial; above
-        # n = 6 on all-plus, all-minus and 62 seeded others
-        exp = SeriesSpec.exponential(n)
-        fg = mat_mul(build_factor_matrix(n, 0, exp), build_factor_matrix(n, 1, exp))
-        poly = log_upper_right(fg)
+        # numeric route vs. substituting signs into a symbolic result: the
+        # matrix route's polynomial up to n = 6; above it the shipped kernel's
+        # bch_term(n) as sum_w c_w prod_{i: w_i = y} s_i, on all-plus,
+        # all-minus and 62 seeded others
         assignments = list(all_assignments(n))
-        if n > 6:
+        if n <= 6:
+            exp = SeriesSpec.exponential(n)
+            fg = mat_mul(build_factor_matrix(n, 0, exp), build_factor_matrix(n, 1, exp))
+            value = log_upper_right(fg).eval_signs
+        else:
             inner = random.Random(n).sample(assignments[1:-1], 62)
             assignments = [assignments[0], assignments[-1], *inner]
+            # each word as the mask of its y positions, each assignment as
+            # the mask of its -1 positions: the product is the parity sign
+            terms = [(sum(y << i for i, y in enumerate(w)), c) for w, c in bch_term(n).terms.items()]
+
+            def value(signs):
+                neg = sum(1 << i for i, s in enumerate(signs) if s < 0)
+                return sum(-c if (y & neg).bit_count() & 1 else c for y, c in terms)
+
         for signs in assignments:
-            assert eval_assignment(n, signs) == poly.eval_signs(signs)
+            assert eval_assignment(n, signs) == value(signs)
 
 
 class TestSymmetries:
