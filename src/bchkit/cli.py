@@ -97,17 +97,11 @@ def _build_parser() -> _Parser:
 
 def _parse_letters(raw: str | None, m: int) -> Alphabet:
     if raw is None:
-        try:
-            return Alphabet.default(m)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        return Alphabet.default(m)
     names = [part.strip() for part in raw.split(",")]
     if len(names) != m:
         raise UsageError(f"--letters names {len(names)} letters but --factors is {m}")
-    try:
-        return Alphabet.from_names(names)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return Alphabet.from_names(names)
 
 
 def _parse_one_series(raw: str, n: int) -> tuple[str, SeriesSpec]:
@@ -330,9 +324,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,11 @@
 
 Series here are NCSeries, maps from words to rationals, multiplied by word
 concatenation with everything past the truncation degree discarded as it
-arises.  Deliberately the slow, obvious implementation: it shares the word
-container with the matrix pipeline but none of its algorithm (no matrices,
-no multilinear polynomials, no first-row log), so agreement between the two
-routes is meaningful evidence rather than a tautology.
+arises.  Deliberately the slow, obvious implementation: none of the matrix
+pipeline's algorithm (no matrices, no multilinear polynomials, no first-row
+log).  Its ``+`` and scaling are ``multilinear.ExactCombination``'s, shared
+with ``MultilinearPoly``; the packed kernel calls neither, so a fault there
+shows as oracle != kernel and as matrix reference != kernel.
 """
 
 from __future__ import annotations

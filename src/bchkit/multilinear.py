@@ -10,6 +10,7 @@ literally an n-bit bitset; each further family appends another n-bit block.
 Exponents above one are unrepresentable, so multilinearity holds by
 construction.  Positions are shared across families: a legal monomial
 carries at most one variable, of whatever family, per position.
+``MultilinearPoly`` and ``words.NCSeries`` share the base ``ExactCombination``.
 """
 
 from __future__ import annotations
@@ -92,14 +93,81 @@ def mono_str(n: int, mono: int) -> str:
     return "*".join(parts)
 
 
-class MultilinearPoly:
-    """A finite map monomial -> rational, all monomials over the same n positions.
-
-    Instances are treated as immutable: every operation returns a fresh
-    polynomial and zero coefficients are never stored.
+class ExactCombination:
+    """A finite, zero-free map key -> rational, the value type behind
+    ``MultilinearPoly`` (monomial keys) and ``words.NCSeries`` (word keys).
+    Operations return a fresh value of the same subclass and shape.  A
+    subclass supplies ``_shape()`` (its constructor arguments bar the terms),
+    ``_compatible``, ``_key_str`` and ``items_sorted``; the falsy key (0 or
+    ``()``) is the constant term.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("terms",)
+
+    def _with_terms(self, terms: dict):
+        result = type(self)(*self._shape())
+        result.terms = terms
+        return result
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._compatible(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key, ZERO) + c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return self._with_terms(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with_terms({k: -c for k, c in self.terms.items()})
+
+    def scaled(self, factor: Rational | int):
+        f = Fraction(factor)
+        return self._with_terms({k: c * f for k, c in self.terms.items()} if f else {})
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, coeff in self.items_sorted():
+            mag = abs(coeff)
+            if not key:
+                body = str(mag)
+            elif mag == 1:
+                body = self._key_str(key)
+            else:
+                body = f"{mag}*{self._key_str(key)}"
+            if not parts:
+                parts.append(body if coeff > 0 else "-" + body)
+            else:
+                parts.append(("+ " if coeff > 0 else "- ") + body)
+        return " ".join(parts)
+
+
+class MultilinearPoly(ExactCombination):
+    """A finite map monomial -> rational, all monomials over the same n positions.
+
+    Sums, scaling, equality and printing come from ``ExactCombination``.
+    """
+
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Mapping[int, Rational | int] | None = None):
         if n < 1:
@@ -126,49 +194,22 @@ class MultilinearPoly:
     ) -> "MultilinearPoly":
         return cls(n, {mono_from_positions(n, [position], family): Fraction(coeff)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _shape(self) -> tuple[int]:
+        return (self.n,)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def _check_order(self, other: "MultilinearPoly") -> None:
+    def _compatible(self, other: "MultilinearPoly") -> None:
         if self.n != other.n:
             raise ValueError(f"order mismatch: {self.n} != {other.n}")
 
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        self._check_order(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        result = MultilinearPoly(self.n)
-        result.terms = out
-        return result
-
-    def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "MultilinearPoly":
-        result = MultilinearPoly(self.n)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+    def _key_str(self, mono: int) -> str:
+        return mono_str(self.n, mono)
 
     def __mul__(self, other: "MultilinearPoly | Rational | int") -> "MultilinearPoly":
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, MultilinearPoly):
             return NotImplemented
-        self._check_order(other)
+        self._compatible(other)
         n = self.n
         out: dict[int, Fraction] = {}
         for ma, ca in self.terms.items():
@@ -179,21 +220,9 @@ class MultilinearPoly:
                     out[mono] = s
                 else:
                     del out[mono]
-        result = MultilinearPoly(n)
-        result.terms = out
-        return result
+        return self._with_terms(out)
 
-    def __rmul__(self, other: "Rational | int") -> "MultilinearPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, factor: Rational | int) -> "MultilinearPoly":
-        f = Fraction(factor)
-        result = MultilinearPoly(self.n)
-        if f:
-            result.terms = {m: c * f for m, c in self.terms.items()}
-        return result
+    __rmul__ = __mul__  # the product commutes
 
     def eval_signs(self, signs: Sequence[int]) -> Fraction:
         """Exact value with every position-i variable replaced by signs[i-1].
@@ -222,27 +251,6 @@ class MultilinearPoly:
         """Terms ordered by the position-vector of their monomials."""
         n = self.n
         return sorted(self.terms.items(), key=lambda kv: mono_digits(n, kv[0]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.items_sorted():
-            if mono == 0:
-                text = str(coeff)
-            elif coeff == 1:
-                text = mono_str(self.n, mono)
-            elif coeff == -1:
-                text = "-" + mono_str(self.n, mono)
-            else:
-                text = f"{coeff}*{mono_str(self.n, mono)}"
-            if parts and not text.startswith("-"):
-                parts.append("+ " + text)
-            elif parts:
-                parts.append("- " + text[1:])
-            else:
-                parts.append(text)
-        return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"MultilinearPoly(n={self.n}, {str(self)})"

@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -26,6 +27,24 @@ from .words import Alphabet, NCSeries
 TOOL_NAME = "bchkit"
 
 TermRow = tuple[str, str, str]
+
+_INTEGER = re.compile(r"-?[0-9]+")
+_POSITIVE = re.compile(r"0*[1-9][0-9]*")
+
+
+def _checked_rows(raw: list) -> list[TermRow]:
+    """Rows of three strings: text, integer, positive integer; else ValueError.
+    Numbers are matched once per distinct value: per row costs more than the parse."""
+    try:  # unpacking, join, hashing and fullmatch raise TypeError on a wrong type
+        rows = [(text, num, den) for text, num, den in raw]
+        "".join([row[0] for row in rows])
+        nums, dens = {row[1] for row in rows}, {row[2] for row in rows}
+        if (set(map(type, raw)) <= {list} and all(map(_INTEGER.fullmatch, nums))
+                and all(map(_POSITIVE.fullmatch, dens))):
+            return rows
+    except TypeError:
+        pass
+    raise ValueError("rows must be [text, integer, positive integer] strings")
 
 
 @dataclass
@@ -103,8 +122,8 @@ class OutputDocument:
             factors=body["factors"],
             letters=tuple(body["letters"]),
             series=tuple(body["series"]),
-            terms=[(w, num, den) for w, num, den in body["terms"]],
-            dynkin=None if dynkin is None else [(b, num, den) for b, num, den in dynkin],
+            terms=_checked_rows(body["terms"]),
+            dynkin=None if dynkin is None else _checked_rows(dynkin),
         )
 
 
@@ -200,8 +219,8 @@ def cache_load(key: str, directory: Path | None = None) -> OutputDocument | None
         return None
     try:
         return OutputDocument.from_json_text(text)
-    except (ValueError, KeyError, TypeError):
-        # corrupt entry: behave like a miss, the writer will replace it
+    except (ValueError, KeyError, TypeError, RecursionError):
+        # corrupt or too deeply nested entry: a miss, the writer will replace it
         return None
 
 

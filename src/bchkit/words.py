@@ -1,12 +1,13 @@
-"""Alphabets, words, and noncommutative series in the word basis."""
+"""Alphabets, words, and noncommutative series in the word basis
+(``NCSeries``, built on the base ``multilinear.ExactCombination``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .multilinear import Rational
+from .multilinear import ExactCombination, Rational
 
 # A word is a tuple of letter indices into an Alphabet.
 Word = tuple[int, ...]
@@ -60,14 +61,10 @@ class Alphabet:
             raise ValueError(f"letter {exc.args[0]!r} not in alphabet {self.letters}")
 
 
-class NCSeries:
-    """Finite rational combination of words of length <= max_degree.
+class NCSeries(ExactCombination):
+    """Finite rational combination of words of length <= max_degree."""
 
-    Zero coefficients are never stored.  Instances are value objects;
-    operations return fresh series.
-    """
-
-    __slots__ = ("alphabet", "max_degree", "terms")
+    __slots__ = ("alphabet", "max_degree")
 
     def __init__(
         self,
@@ -110,73 +107,17 @@ class NCSeries:
             self.alphabet, degree, {w: c for w, c in self.terms.items() if len(w) == degree}
         )
 
+    def _shape(self) -> tuple[Alphabet, int]:
+        return (self.alphabet, self.max_degree)
+
     def _compatible(self, other: "NCSeries") -> None:
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
         if self.max_degree != other.max_degree:
             raise ValueError(f"degree mismatch: {self.max_degree} != {other.max_degree}")
 
-    def __add__(self, other: "NCSeries") -> "NCSeries":
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        self._compatible(other)
-        out = dict(self.terms)
-        for word, c in other.terms.items():
-            s = out.get(word, Fraction(0)) + c
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-        result = NCSeries(self.alphabet, self.max_degree)
-        result.terms = out
-        return result
-
-    def __neg__(self) -> "NCSeries":
-        result = NCSeries(self.alphabet, self.max_degree)
-        result.terms = {w: -c for w, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other: "NCSeries") -> "NCSeries":
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, factor: Rational | int) -> "NCSeries":
-        f = Fraction(factor)
-        result = NCSeries(self.alphabet, self.max_degree)
-        if f:
-            result.terms = {w: c * f for w, c in self.terms.items()}
-        return result
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.max_degree == other.max_degree
-            and self.terms == other.terms
-        )
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coeff in self.items_sorted():
-            text = self.alphabet.word_str(word)
-            if word == ():
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = text
-            else:
-                body = f"{abs(coeff)}*{text}"
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+    def _key_str(self, word: Word) -> str:
+        return self.alphabet.word_str(word)
 
     def __repr__(self) -> str:
         return f"NCSeries(degree<={self.max_degree}, {str(self)})"

@@ -129,6 +129,22 @@ class TestTerm:
         assert err == ""
         assert entry.read_text() == good
 
+    def test_zero_denominator_entry_is_recomputed(self, capsys, isolated_cache):
+        code, _, _ = run(capsys, "term", "3")
+        assert code == 0
+        [entry] = isolated_cache.glob("*.json")
+        good = entry.read_text()
+        body = json.loads(good)
+        body["terms"][0][2] = "0"
+        entry.write_text(json.dumps(body))
+        code, out, err = run(capsys, "term", "3", "--format", "latex")
+        assert (code, err) == (0, "")
+        assert out == (
+            "z_{3} = \\frac{1}{12}\\,xxy - \\frac{1}{6}\\,xyx + \\frac{1}{12}\\,xyy"
+            " + \\frac{1}{12}\\,yxx - \\frac{1}{6}\\,yxy + \\frac{1}{12}\\,yyx\n"
+        )
+        assert entry.read_text() == good
+
     def test_no_cache_leaves_nothing(self, capsys, isolated_cache):
         code, _, _ = run(capsys, "term", "3", "--no-cache")
         assert code == 0
@@ -160,6 +176,16 @@ class TestTerm:
         code, _, err = run(capsys, "term", "2", "--letters", "x,x")
         assert code == 1
         assert "duplicate" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--factors", "30"), "no default naming for 30 letters; pass explicit names"),
+            (("--letters", "x,x"), "duplicate letters in ('x', 'x')"),
+        ],
+    )
+    def test_alphabet_error_is_one_stderr_line(self, capsys, flags, message):
+        assert run(capsys, "term", "2", *flags) == (1, "", f"error: {message}\n")
 
 
 class TestVerify:

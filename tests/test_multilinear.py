@@ -1,4 +1,5 @@
-"""Rational and multilinear-polynomial arithmetic."""
+"""Rational and multilinear-polynomial arithmetic, and the value-type
+behaviour MultilinearPoly shares with NCSeries."""
 
 from fractions import Fraction
 
@@ -14,7 +15,10 @@ from bchkit.multilinear import (
     mono_str,
     mono_support,
 )
+from bchkit.words import Alphabet, NCSeries
 from helpers import normalized_pair
+
+A2 = Alphabet.default(2)
 
 
 class TestRationals:
@@ -150,6 +154,86 @@ class TestPolyArithmetic:
         )
         rendered = str(p)
         assert rendered.index("1") < rendered.index("s3") < rendered.index("s1")
+
+
+def _poly(terms):
+    return MultilinearPoly(3, terms)
+
+
+def _series(terms):
+    return NCSeries(A2, 3, terms)
+
+
+_S1, _S2, _S3 = (mono_from_positions(3, [i]) for i in (1, 2, 3))
+
+
+class TestValueTypes:
+    """Printing, shape and type behaviour common to both exact value types."""
+
+    @pytest.mark.parametrize(
+        "value, text, shown",
+        [
+            (
+                _poly({0: Fraction(1, 2), _S1: 1, _S3: -1,
+                       mono_from_positions(3, [2], 2): Fraction(-3, 4), _S1 | _S2: 2}),
+                "1/2 - s3 - 3/4*t2 + s1 + 2*s1*s2",
+                "MultilinearPoly(n=3, 1/2 - s3 - 3/4*t2 + s1 + 2*s1*s2)",
+            ),
+            (_poly({0: -1, _S2: Fraction(5, 3)}), "-1 + 5/3*s2", "MultilinearPoly(n=3, -1 + 5/3*s2)"),
+            (_poly({_S1: -1}), "-s1", "MultilinearPoly(n=3, -s1)"),
+            (_poly({0: Fraction(-2, 7)}), "-2/7", "MultilinearPoly(n=3, -2/7)"),
+            (_poly({0: 1}), "1", "MultilinearPoly(n=3, 1)"),
+            (_poly({}), "0", "MultilinearPoly(n=3, 0)"),
+            (
+                _series({(): Fraction(1, 2), (0,): 1, (1,): -1, (0, 1): Fraction(-3, 4), (1, 0, 0): 2}),
+                "1/2 + x - y - 3/4*xy + 2*yxx",
+                "NCSeries(degree<=3, 1/2 + x - y - 3/4*xy + 2*yxx)",
+            ),
+            (_series({(): -1, (1,): Fraction(5, 3)}), "-1 + 5/3*y", "NCSeries(degree<=3, -1 + 5/3*y)"),
+            (_series({(0, 1): -1}), "-xy", "NCSeries(degree<=3, -xy)"),
+            (_series({(): Fraction(-2, 7)}), "-2/7", "NCSeries(degree<=3, -2/7)"),
+            (_series({(): 1}), "1", "NCSeries(degree<=3, 1)"),
+            (_series({}), "0", "NCSeries(degree<=3, 0)"),
+        ],
+    )
+    def test_str_and_repr(self, value, text, shown):
+        assert str(value) == text
+        assert repr(value) == shown
+
+    @pytest.mark.parametrize(
+        "a, b, shape",
+        [
+            (_poly({0: 1, _S1: 2}), _poly({_S1: -2, _S2: 1}), lambda v: (v.n,)),
+            (_series({(): 1, (0,): 2}), _series({(0,): -2, (1,): 1}),
+             lambda v: (v.alphabet, v.max_degree)),
+        ],
+    )
+    def test_operations_keep_type_and_shape(self, a, b, shape):
+        for result in (a + b, a - b, -a, a.scaled(0), a.scaled(Fraction(-1, 2))):
+            assert type(result) is type(a)
+            assert shape(result) == shape(a)
+        assert (a + b) - b == a
+        assert -a == a.scaled(-1)
+        assert not a.scaled(0) and a.scaled(0).terms == {}
+
+    def test_types_do_not_mix(self):
+        poly, series = MultilinearPoly.zero(2), NCSeries.zero(A2, 2)
+        with pytest.raises(TypeError):
+            poly + series
+        with pytest.raises(TypeError):
+            series - poly
+        assert poly != series
+
+    def test_shape_is_part_of_equality(self):
+        assert NCSeries(A2, 2, {(0,): 1}) != NCSeries(A2, 3, {(0,): 1})
+        assert NCSeries(A2, 2, {(0,): 1}) != NCSeries(Alphabet.from_names("ab"), 2, {(0,): 1})
+        assert MultilinearPoly(2, {0: 1}) != MultilinearPoly(3, {0: 1})
+
+    @pytest.mark.parametrize("value", [MultilinearPoly.variable(2, 1), NCSeries(A2, 1, {(0,): 1})])
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.extra = 1
 
 
 class TestEvalSigns:

@@ -122,6 +122,7 @@ class TestRenderings:
         )
         assert render_text(doc) == "0\n"
         assert render_latex(doc) == "z_{2} = 0\n"
+        assert OutputDocument.from_json_text(doc.to_json_text()) == doc
 
 
 class TestCache:
@@ -159,14 +160,35 @@ class TestCache:
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cache_load(key, tmp_path) is None
 
-    @pytest.mark.parametrize("case", ["list", "string", "two_field_row"])
+    BAD_ROWS = {
+        "two_field_row": ["xxy", "1"],
+        "zero_denominator": ["xxy", "1", "0"],
+        "word_numerator": ["xxy", "abc", "12"],
+        "negative_denominator": ["xxy", "1", "-12"],
+        "padded_numerator": ["xxy", " 1", "12"],
+        "non_ascii_digit": ["xxy", "\u0661", "12"],
+        "number_field": ["xxy", 1, "12"],
+        "string_row": "x12",
+    }
+
+    @pytest.mark.parametrize(
+        "case", ["list", "string", "deep_nesting", "bad_dynkin_row", *BAD_ROWS]
+    )
     def test_malformed_entry_behaves_like_miss(self, tmp_path, case):
         key = "e" * 64
-        body = json.loads(make_doc(3).to_json_text())
-        body["terms"][0] = body["terms"][0][:2]
-        text = {"list": "[]", "string": '"xxy"', "two_field_row": json.dumps(body)}[case]
+        body = json.loads(make_doc(3, with_dynkin=True).to_json_text())
+        if case in self.BAD_ROWS:
+            body["terms"][0] = self.BAD_ROWS[case]
+        if case == "bad_dynkin_row":
+            body["dynkin"][0][2] = "0"
+        text = {"list": "[]", "string": '"xxy"', "deep_nesting": "[" * 100_000}.get(
+            case, json.dumps(body)
+        )
         (tmp_path / f"{key}.json").write_text(text)
         assert cache_load(key, tmp_path) is None
+        if case not in ("list", "string", "deep_nesting"):
+            with pytest.raises(ValueError):
+                OutputDocument.from_json_text(text)
 
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("BCHKIT_CACHE_DIR", str(tmp_path / "override"))
