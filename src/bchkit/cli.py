@@ -28,7 +28,7 @@ from .output import (
     cache_load,
     cache_store,
 )
-from .series import MAX_WORDS, bch_term, bch_term_multi, check_order, logf_term, term_uncached
+from .series import MAX_WORDS, Stages, bch_term, bch_term_multi, check_order, lex_lanes, term_uncached
 from .signedeval import build_table, reconstruct_term, scan_nonvanishing
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries
@@ -69,6 +69,9 @@ def _build_parser() -> _Parser:
     p_term.add_argument("--out", metavar="PATH", help="write payload to a file")
     p_term.add_argument("--no-cache", action="store_true",
                         help=f"disable the result cache (dir override: ${CACHE_ENV_VAR})")
+    p_term.add_argument("--stats", action="store_true",
+                        help="report stage times, lane width, words out and cache "
+                        "hit or miss on stderr")
     p_term.set_defaults(handler=cmd_term)
 
     p_verify = sub.add_parser("verify", help="cross-check independent computation routes")
@@ -134,24 +137,37 @@ def _parse_series(raw_list: Sequence[str] | None, m: int, n: int) -> tuple[list[
 
 
 def cmd_term(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise UsageError(f"order must be >= 1, got {args.n}")
     if args.factors < 2:
         raise UsageError(f"--factors must be >= 2, got {args.factors}")
     check_order(args.n, args.factors, MAX_WORDS)
     alphabet = _parse_letters(args.letters, args.factors)
     series_names, specs = _parse_series(args.series, args.factors, args.n)
     key = cache_key(__version__, "term", args.n, alphabet.letters, series_names, args.dynkin)
-    doc = None if args.no_cache else cache_load(key)
+    stages = Stages()
+    doc = None
+    if not args.no_cache:
+        doc = cache_load(key)
+        if doc is not None and not doc.answers(key):
+            doc = None
+        stages.lap("cache load")
+    cache = "off" if args.no_cache else "miss" if doc is None else "hit"
     if doc is None:
-        term = logf_term(args.n, specs, alphabet)
-        brackets = dynkin_substitute(term) if args.dynkin else None
-        doc = OutputDocument.from_results(
-            __version__, "term", args.n, series_names, alphabet, term, brackets
+        den, nums = lex_lanes(args.n, specs, stages)
+        brackets = None
+        if args.dynkin:
+            brackets = dynkin_substitute(NCSeries.from_lex(alphabet, args.n, den, nums))
+            stages.lap("dynkin")
+        doc = OutputDocument.from_lex(
+            __version__, "term", args.n, series_names, alphabet, den, nums, brackets
         )
+        stages.lap("rows")
         if not args.no_cache:
             cache_store(key, doc)
+            stages.lap("cache store")
     rendered = RENDERERS[args.format](doc)
+    stages.lap("render")
+    if args.stats:
+        print(_stats_report(stages, cache, len(doc.terms)), file=sys.stderr)
     if args.out:
         try:
             Path(args.out).write_text(rendered)
@@ -161,6 +177,14 @@ def cmd_term(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(rendered)
     return 0
+
+
+def _stats_report(stages: Stages, cache: str, words: int) -> str:
+    head = f"stats: cache {cache}, {words} words out"
+    if stages.width is not None:
+        head += f", lane width W = {stages.width} bits"
+    laps = (f"  {stage:<12}{seconds:10.6f} s" for stage, seconds in stages.seconds.items())
+    return "\n".join([head, *laps])
 
 
 def _first_diff(a: NCSeries, b: NCSeries) -> tuple[tuple[int, ...], Fraction, Fraction] | None:
@@ -231,8 +255,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.n_max < 1:
-        raise UsageError(f"order must be >= 1, got {args.n_max}")
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     check_order(args.n_max, 2, MAX_WORDS)

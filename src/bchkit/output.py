@@ -18,8 +18,9 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dynkin import LieTerm
 from .words import Alphabet, NCSeries
@@ -47,6 +48,17 @@ def _checked_rows(raw: list) -> list[TermRow]:
     raise ValueError("rows must be [text, integer, positive integer] strings")
 
 
+def _cells(values: Iterable, den: int = 1) -> dict:
+    """Each distinct value over ``den``, in lowest terms, as its numerator and
+    denominator strings: the one row formatter.  A document repeats a few
+    hundred values over thousands of rows, so each is reduced and printed once."""
+    cells = {}
+    for v in set(values):
+        c = Fraction(v, den)
+        cells[v] = (str(c.numerator), str(c.denominator))
+    return cells
+
+
 @dataclass
 class OutputDocument:
     version: str
@@ -69,20 +81,39 @@ class OutputDocument:
         term: NCSeries,
         dynkin_terms: Sequence[LieTerm] | None = None,
     ) -> "OutputDocument":
-        rows = [
-            (alphabet.word_str(w), str(c.numerator), str(c.denominator))
-            for w, c in term.items_sorted()
-        ]
+        cells = _cells(term.terms.values())
+        rows = [(alphabet.word_str(w), *cells[c]) for w, c in term.items_sorted()]
+        return cls._with_rows(version, mode, order, series_names, alphabet, rows, dynkin_terms)
+
+    @classmethod
+    def from_lex(
+        cls,
+        version: str,
+        mode: str,
+        order: int,
+        series_names: Sequence[str],
+        alphabet: Alphabet,
+        den: int,
+        nums: Sequence[int],
+        dynkin_terms: Sequence[LieTerm] | None = None,
+    ) -> "OutputDocument":
+        """The document of the term with coefficient nums[k]/den on the k-th
+        length-``order`` word in graded-lex order, as ``series.lex_lanes``
+        gives it: the rows need no word tuples, no Fractions and no sort."""
+        if len(nums) != alphabet.size**order:
+            raise ValueError(f"{len(nums)} numerators for {alphabet.size}^{order} words")
+        cells = _cells(nums, den)
+        # only the words of nonzero lanes are joined into text
+        words = map("".join, compress(product(alphabet.letters, repeat=order), nums))
+        rows = [(w, *cells[c]) for w, c in zip(words, filter(None, nums))]
+        return cls._with_rows(version, mode, order, series_names, alphabet, rows, dynkin_terms)
+
+    @classmethod
+    def _with_rows(cls, version, mode, order, series_names, alphabet, rows, dynkin_terms):
         bracket_rows = None
         if dynkin_terms is not None:
-            bracket_rows = [
-                (
-                    t.bracket_str(alphabet),
-                    str(t.coefficient.numerator),
-                    str(t.coefficient.denominator),
-                )
-                for t in dynkin_terms
-            ]
+            cells = _cells(t.coefficient for t in dynkin_terms)
+            bracket_rows = [(t.bracket_str(alphabet), *cells[t.coefficient]) for t in dynkin_terms]
         return cls(
             version=version,
             mode=mode,
@@ -94,7 +125,7 @@ class OutputDocument:
             dynkin=bracket_rows,
         )
 
-    def to_json_text(self) -> str:
+    def _body(self) -> dict:
         body: dict = {
             "tool": TOOL_NAME,
             "version": self.version,
@@ -103,14 +134,30 @@ class OutputDocument:
             "factors": self.factors,
             "letters": list(self.letters),
             "series": list(self.series),
-            "terms": [list(row) for row in self.terms],
+            "terms": self.terms,
         }
         if self.dynkin is not None:
-            body["dynkin"] = [list(row) for row in self.dynkin]
-        return json.dumps(body, indent=2) + "\n"
+            body["dynkin"] = self.dynkin
+        return body
+
+    def to_json_text(self) -> str:
+        """The document as printed by ``--format json``: indent=2, one value per line."""
+        return json.dumps(self._body(), indent=2) + "\n"
+
+    def to_cache_text(self) -> str:
+        """The document as stored in the cache: compact, so the C encoder writes it."""
+        return json.dumps(self._body(), separators=(",", ":"))
+
+    def answers(self, key: str) -> bool:
+        """Whether ``key`` is the cache key of this document's own header: a
+        cache entry whose header was edited answers another request."""
+        header = (self.version, self.mode, self.order, self.letters, self.series, self.dynkin is not None)
+        return (isinstance(self.factors, int) and self.factors == len(self.letters)
+                and cache_key(*header) == key)
 
     @classmethod
     def from_json_text(cls, text: str) -> "OutputDocument":
+        """Read either layout back; rows are checked, the header is left to ``answers``."""
         body = json.loads(text)
         if not isinstance(body, dict) or body.get("tool") != TOOL_NAME:
             raise ValueError(f"not a {TOOL_NAME} document")
@@ -127,17 +174,14 @@ class OutputDocument:
         )
 
 
-def _coeff_str(num: str, den: str) -> str:
-    return num if den == "1" else f"{num}/{den}"
+def _text_lines(rows: Sequence[TermRow]) -> list[str]:
+    return [f"{num}  {text}" if den == "1" else f"{num}/{den}  {text}" for text, num, den in rows]
 
 
 def render_text(doc: OutputDocument) -> str:
-    lines = [f"{_coeff_str(num, den)}  {word}" for word, num, den in doc.terms]
-    if not doc.terms:
-        lines = ["0"]
+    lines = _text_lines(doc.terms) if doc.terms else ["0"]
     if doc.dynkin is not None:
-        lines += ["", "dynkin:"]
-        lines += [f"{_coeff_str(num, den)}  {bracket}" for bracket, num, den in doc.dynkin]
+        lines += ["", "dynkin:", *_text_lines(doc.dynkin)]
     return "\n".join(lines) + "\n"
 
 
@@ -234,7 +278,7 @@ def cache_store(key: str, doc: OutputDocument, directory: Path | None = None) ->
         target.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target, prefix=f".{key}.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(doc.to_json_text())
+            fh.write(doc.to_cache_text())
         os.replace(tmp, target / f"{key}.json")
     except OSError as exc:
         if tmp is not None:

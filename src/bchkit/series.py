@@ -9,17 +9,20 @@ and 1/q becomes L/q with L = lcm(1..n), so everything runs on integers.
 Row entry v[k] is one Python int packing one lane per word over positions
 1..k (Kronecker substitution): lane i is the word whose base-m digits,
 position 1 least significant, spell i, so a family-f run over positions
-k+1..j shifts a lane by f (m^k + ... + m^{j-1}) lanes.  The matrix route
+k+1..j shifts a lane by f (m^k + ... + m^{j-1}) lanes.  Graded-lex order
+reads the digits the other way round, position 1 most significant, so the
+unpack visits the lanes through a digit-reversal index and ``lex_lanes``
+hands out each word's integer numerator in the order the output prints
+them, with no word tuples and no sort.  The matrix route
 (build_factor_matrix, mat_mul, log_upper_right, t_operator) is the
 reference the tests compare against.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from itertools import product
 from math import lcm
+from time import perf_counter
 from typing import Sequence
 
 from .multilinear import MultilinearPoly, mono_digits
@@ -108,8 +111,9 @@ def packed_log_entry(n: int, steps: Sequence[Sequence[Sequence[int]]], width: in
     return sum((-1) ** (q + 1) * (top // q) * v for q, v in enumerate(powers, 1))
 
 
-def unpack_lanes(packed: int, width: int, lanes: int) -> list[int]:
-    """Every lane of ``packed``, lowest first, as a signed integer.
+def unpack_lanes(packed: int, width: int, n: int, m: int) -> list[int]:
+    """Every lane of ``packed``, as a signed integer, in graded-lex order of
+    the words: the k-th word w_1 ... w_n in lex order is lane sum w_p m^(p-1).
 
     Adding 2^(width-1) to each lane makes it a nonnegative ``width``-bit
     digit, so one ``to_bytes`` call splits them.  A top lane that does not
@@ -118,25 +122,55 @@ def unpack_lanes(packed: int, width: int, lanes: int) -> list[int]:
     size = width // 8
     half = 1 << (width - 1)
     # repeated bytes: a sum of half << width*i would be quadratic
-    offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
-    data = (packed + offset).to_bytes(size * lanes, "little")
-    return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+    offset = int.from_bytes(half.to_bytes(size, "little") * m**n, "little")
+    data = (packed + offset).to_bytes(size * m**n, "little")
+    # byte offsets of the lanes, position 1 outermost: the digit reversal
+    starts = [0]
+    for p in range(n):
+        digits = [d * size * m**p for d in range(m)]
+        starts = [i + d for i in starts for d in digits]
+    return [int.from_bytes(data[i : i + size], "little") - half for i in starts]
 
 
-def _term_for(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet) -> NCSeries:
+class Stages:
+    """Seconds per stage of one run, each timed from the end of the one
+    before, and the kernel's lane width once it is known."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self.width: int | None = None
+        self._mark = perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = perf_counter()
+        self.seconds[stage] = now - self._mark
+        self._mark = now
+
+
+def lex_lanes(n: int, f_list: Sequence[SeriesSpec], stages: Stages | None = None) -> tuple[int, list[int]]:
+    """L S_n and the integer numerator over it of every length-n word of the
+    term, in graded-lex word order, zeros included.  ``stages``, when given,
+    gets the lane width and the laps scales, width, recurrence and unpack."""
     m = len(f_list)
     if m < 2:
         raise ValueError(f"need at least 2 factors, got {m}")
-    if m != alphabet.size:
-        raise ValueError(f"{m} factors need {m} letters, alphabet has {alphabet.size}")
     check_order(n, m)
+    stages = stages or Stages()
     den, steps = _scaled_steps(n, f_list)
-    width = lane_width(n, steps)
-    lanes = unpack_lanes(packed_log_entry(n, steps, width), width, m**n)
-    # product() counts with the first digit most significant, lanes with
-    # position 1 least significant: reversed, its tuples are the lanes' words
-    words = product(range(m), repeat=n)
-    return NCSeries(alphabet, n, {w[::-1]: Fraction(c, den) for w, c in zip(words, lanes) if c})
+    stages.lap("scales")
+    stages.width = width = lane_width(n, steps)
+    stages.lap("width")
+    packed = packed_log_entry(n, steps, width)
+    stages.lap("recurrence")
+    nums = unpack_lanes(packed, width, n, m)
+    stages.lap("unpack")
+    return den, nums
+
+
+def _term_for(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet) -> NCSeries:
+    if len(f_list) != alphabet.size:
+        raise ValueError(f"{len(f_list)} factors need {len(f_list)} letters, alphabet has {alphabet.size}")
+    return NCSeries.from_lex(alphabet, n, *lex_lanes(n, f_list))
 
 
 @cache

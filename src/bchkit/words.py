@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import compress, product
+from typing import Iterable, Mapping, Sequence
 
 from .multilinear import ExactCombination, Rational
 
@@ -93,6 +94,19 @@ class NCSeries(ExactCombination):
     @classmethod
     def zero(cls, alphabet: Alphabet, max_degree: int) -> "NCSeries":
         return cls(alphabet, max_degree)
+
+    @classmethod
+    def from_lex(cls, alphabet: Alphabet, degree: int, den: int, nums: Sequence[int]) -> "NCSeries":
+        """The homogeneous series with coefficient nums[k]/den on the k-th
+        length-``degree`` word in graded-lex order; one Fraction per distinct
+        numerator, shared by every word that carries it."""
+        if len(nums) != alphabet.size**degree:
+            raise ValueError(f"{len(nums)} numerators for {alphabet.size}^{degree} words")
+        values = {c: Fraction(c, den) for c in set(nums)}
+        words = compress(product(range(alphabet.size), repeat=degree), nums)
+        result = cls(alphabet, degree)
+        result.terms = {w: values[c] for w, c in zip(words, filter(None, nums))}
+        return result
 
     def coefficient(self, word: Word) -> Fraction:
         return self.terms.get(tuple(word), Fraction(0))

@@ -145,6 +145,60 @@ class TestTerm:
         )
         assert entry.read_text() == good
 
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            ((), "order", "99"),
+            ((), "order", 3),
+            ((), "mode", "scan"),
+            ((), "factors", 3),
+            ((), "factors", 2.0),
+            ((), "letters", ["a", "b"]),
+            ((), "series", ["1,1", "exp"]),
+            ((), "version", "0.0.1"),
+            ((), "dynkin", []),
+            (("--dynkin",), "dynkin", None),
+        ],
+    )
+    def test_entry_with_edited_header_is_recomputed(self, capsys, isolated_cache, argv, field, value):
+        command = ("term", "2", "--format", "json", *argv)
+        code, good_out, _ = run(capsys, *command)
+        assert code == 0
+        [entry] = isolated_cache.glob("*.json")
+        good = entry.read_text()
+        body = json.loads(good)
+        if value is None:
+            del body[field]
+        else:
+            body[field] = value
+        entry.write_text(json.dumps(body))
+        assert run(capsys, *command) == (0, good_out, "")
+        assert entry.read_text() == good
+
+    @pytest.mark.parametrize("flags", [(), ("--dynkin", "--format", "json"), ("--factors", "3")])
+    def test_stats_go_to_stderr_only(self, capsys, flags):
+        code, plain, err = run(capsys, "term", "6", "--no-cache", *flags)
+        assert (code, err) == (0, "")
+        code, out, miss = run(capsys, "term", "6", "--stats", *flags)
+        assert code == 0 and out == plain
+        code, out, hit = run(capsys, "term", "6", "--stats", *flags)
+        assert code == 0 and out == plain
+        code, out, off = run(capsys, "term", "6", "--stats", "--no-cache", *flags)
+        assert code == 0 and out == plain
+        words = len(json.loads(out)["terms"]) if "json" in flags else len(out.split("\n\n")[0].splitlines())
+        assert miss.startswith(f"stats: cache miss, {words} words out, lane width W = ")
+        assert hit.splitlines()[0] == f"stats: cache hit, {words} words out"
+        assert off.startswith(f"stats: cache off, {words} words out, lane width W = ")
+
+        def stages(block):
+            return [line.split("  ")[1].strip() for line in block.splitlines()[1:]]
+
+        dynkin = ["dynkin"] if "--dynkin" in flags else []
+        kernel = ["scales", "width", "recurrence", "unpack"]
+        assert stages(miss) == ["cache load", *kernel, *dynkin, "rows", "cache store", "render"]
+        assert stages(hit) == ["cache load", "render"]
+        assert stages(off) == [*kernel, *dynkin, "rows", "render"]
+
     def test_no_cache_leaves_nothing(self, capsys, isolated_cache):
         code, _, _ = run(capsys, "term", "3", "--no-cache")
         assert code == 0
@@ -288,7 +342,7 @@ class TestSizeLimit:
         def refuse(*args, **kwargs):
             raise AssertionError("work started on an order over the size limit")
 
-        for name in ("_parse_series", "logf_term", "scan_nonvanishing", "term_uncached"):
+        for name in ("_parse_series", "lex_lanes", "scan_nonvanishing", "term_uncached"):
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize(
@@ -306,6 +360,10 @@ class TestSizeLimit:
         assert code == 1
         assert out == ""
         assert f"limit of {cli.MAX_WORDS}" in err
+
+    @pytest.mark.parametrize("command", ["term", "scan"])
+    def test_order_zero_is_one_stderr_line(self, capsys, no_work, command):
+        assert run(capsys, command, "0") == (1, "", "error: order must be >= 1, got 0\n")
 
     def test_limit_applies_to_words_of_the_term(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_WORDS", 16)
@@ -331,8 +389,11 @@ def test_stdout_matches_recorded_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
 
 
-# the same for orders past the benchmark's and for three and four factors,
-# recorded from the matrix-product kernel that the packed kernel replaced
+# the same for orders past the benchmark's, three and four factors, --dynkin,
+# latex and json: "term 13", "term 14", "term 8 --factors 3" and "term 6
+# --factors 4" were recorded at commit b8583dd, from the matrix-product kernel
+# that the packed kernel replaced; the other five at commit 3a18888, from the
+# Fraction/NCSeries output path that rows built from the lanes replaced
 TERM_DIGESTS = json.loads((Path(__file__).resolve().parent / "term_digests.json").read_text())
 
 
@@ -341,6 +402,17 @@ def test_term_stdout_matches_matrix_kernel_digest(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TERM_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted({**DIGESTS, **TERM_DIGESTS}))
+def test_cache_hit_prints_the_miss_bytes(capsys, isolated_cache, command):
+    """The miss, the hit, and a hit on an entry in the indent=2 layout that
+    earlier versions wrote all print the same bytes."""
+    miss = run(capsys, *command.split())
+    assert run(capsys, *command.split()) == miss
+    for entry in isolated_cache.glob("*.json"):
+        entry.write_text(output.OutputDocument.from_json_text(entry.read_text()).to_json_text())
+    assert run(capsys, *command.split()) == miss
 
 
 class TestParsing:

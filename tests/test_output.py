@@ -1,6 +1,7 @@
 """Documents, renderings, and the content-addressed cache."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ from bchkit.output import (
     render_latex,
     render_text,
 )
-from bchkit.series import bch_term
+from bchkit.series import bch_term, lex_lanes, logf_term, t_operator
+from bchkit.signedeval import build_table, reconstruct_term
+from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet
 
 A2 = Alphabet.default(2)
@@ -73,6 +76,48 @@ class TestDocument:
         )
         back = OutputDocument.from_json_text(doc.to_json_text())
         assert Fraction(int(back.terms[0][1]), int(back.terms[0][2])) == big
+
+
+def matrix_route(n, specs):
+    """z_n through the full factor matrices and their Fraction log."""
+    product = build_factor_matrix(n, 0, specs[0])
+    for family, f in enumerate(specs[1:], start=1):
+        product = mat_mul(product, build_factor_matrix(n, family, f))
+    return t_operator(log_upper_right(product), Alphabet.default(len(specs)))
+
+
+def random_specs(m, n):
+    # about half the coefficients zero, the rest of either sign
+    rng = random.Random(1000 * m + n)
+    return [
+        SeriesSpec.from_coeffs(
+            [1] + [rng.choice((0, Fraction(rng.randint(-9, 9), rng.randint(1, 12)))) for _ in range(n)]
+        )
+        for _ in range(m)
+    ]
+
+
+def sign_lattice(n, specs):
+    return reconstruct_term(n, build_table(n, "symmetry"))
+
+
+# largest order per factor count, as far as the matrix route stays quick
+LEX_CASES = [
+    *[(random_specs(m, n), n, matrix_route) for m, top in {2: 9, 3: 6, 4: 5}.items() for n in range(1, top + 1)],
+    *[([SeriesSpec.exponential(n)] * 2, n, sign_lattice) for n in range(1, 13)],
+]
+
+
+@pytest.mark.parametrize("specs,n,route", LEX_CASES)
+def test_rows_from_lanes_match_rows_from_series(specs, n, route):
+    """The two consumers of the kernel's lanes, the CLI's rows and the library's
+    NCSeries, give the same document, and it is the one an independent
+    route gives: the matrix route on random series, the sign lattice on exp."""
+    alphabet = Alphabet.default(len(specs))
+    names = [spec.fingerprint() for spec in specs]
+    lex = OutputDocument.from_lex(__version__, "term", n, names, alphabet, *lex_lanes(n, specs))
+    for term in (logf_term(n, specs), route(n, specs)):
+        assert vars(lex) == vars(OutputDocument.from_results(__version__, "term", n, names, alphabet, term))
 
 
 class TestRenderings:
