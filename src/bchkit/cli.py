@@ -3,13 +3,14 @@
 Subcommands: term (compute one order), verify (cross-check the independent
 routes), scan (nonvanishing census of the sign lattice), bench (timing).
 Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
-0 success, 1 invalid arguments (including orders over the MAX_WORDS size
-limit), 2 verification mismatch, 3 I/O failure.
+0 success, 1 invalid arguments (including orders over the series.MAX_WORDS
+size limit), 2 verification mismatch, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -28,7 +29,7 @@ from .output import (
     cache_load,
     cache_store,
 )
-from .series import MAX_WORDS, Stages, bch_term, bch_term_multi, check_order, lex_lanes, term_uncached
+from .series import Stages, bch_term, bch_term_multi, check_order, lex_lanes, term_uncached
 from .signedeval import build_table, reconstruct_term, scan_nonvanishing
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one parser per process: each parse_args call returns a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="bchkit",
@@ -139,7 +141,7 @@ def _parse_series(raw_list: Sequence[str] | None, m: int, n: int) -> tuple[list[
 def cmd_term(args: argparse.Namespace) -> int:
     if args.factors < 2:
         raise UsageError(f"--factors must be >= 2, got {args.factors}")
-    check_order(args.n, args.factors, MAX_WORDS)
+    check_order(args.n, args.factors)
     alphabet = _parse_letters(args.letters, args.factors)
     series_names, specs = _parse_series(args.series, args.factors, args.n)
     key = cache_key(__version__, "term", args.n, alphabet.letters, series_names, args.dynkin)
@@ -147,8 +149,6 @@ def cmd_term(args: argparse.Namespace) -> int:
     doc = None
     if not args.no_cache:
         doc = cache_load(key)
-        if doc is not None and not doc.answers(key):
-            doc = None
         stages.lap("cache load")
     cache = "off" if args.no_cache else "miss" if doc is None else "hit"
     if doc is None:
@@ -231,13 +231,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"mode {mode} is limited to n <= {VERIFY_CAPS[mode]}, got {args.n_max}"
                 )
-        explicit = True
     else:
         modes = list(VERIFY_MODES)
-        explicit = False
     for mode in modes:
+        # a named mode over its cap was refused above, so only defaults clamp
         limit = min(args.n_max, VERIFY_CAPS[mode])
-        if limit < args.n_max and not explicit:
+        if limit < args.n_max:
             print(f"note: {mode} capped at n={limit}", file=sys.stderr)
         for n in range(1, limit + 1):
             ours, reference, alphabet = _verify_pair(mode, n)
@@ -257,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    check_order(args.n_max, 2, MAX_WORDS)
+    check_order(args.n_max, 2)
     reports = scan_nonvanishing(args.n_max, workers=args.workers)
     bad = 0
     for r in reports:
@@ -306,7 +305,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     if args.repeat < 1:
         raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
-    check_order(hi, 2, MAX_WORDS)
+    check_order(hi, 2)
     rows = []
     for n in range(lo, hi + 1):
         exp = SeriesSpec.exponential(n)

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Sequence
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _FAMILY_NAMES = "stuv"
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dynkin import LieTerm
-from .words import Alphabet, NCSeries
+from .words import Alphabet
 
 TOOL_NAME = "bchkit"
 
@@ -71,21 +71,6 @@ class OutputDocument:
     dynkin: list[TermRow] | None = None
 
     @classmethod
-    def from_results(
-        cls,
-        version: str,
-        mode: str,
-        order: int,
-        series_names: Sequence[str],
-        alphabet: Alphabet,
-        term: NCSeries,
-        dynkin_terms: Sequence[LieTerm] | None = None,
-    ) -> "OutputDocument":
-        cells = _cells(term.terms.values())
-        rows = [(alphabet.word_str(w), *cells[c]) for w, c in term.items_sorted()]
-        return cls._with_rows(version, mode, order, series_names, alphabet, rows, dynkin_terms)
-
-    @classmethod
     def from_lex(
         cls,
         version: str,
@@ -106,10 +91,6 @@ class OutputDocument:
         # only the words of nonzero lanes are joined into text
         words = map("".join, compress(product(alphabet.letters, repeat=order), nums))
         rows = [(w, *cells[c]) for w, c in zip(words, filter(None, nums))]
-        return cls._with_rows(version, mode, order, series_names, alphabet, rows, dynkin_terms)
-
-    @classmethod
-    def _with_rows(cls, version, mode, order, series_names, alphabet, rows, dynkin_terms):
         bracket_rows = None
         if dynkin_terms is not None:
             cells = _cells(t.coefficient for t in dynkin_terms)
@@ -149,8 +130,7 @@ class OutputDocument:
         return json.dumps(self._body(), separators=(",", ":"))
 
     def answers(self, key: str) -> bool:
-        """Whether ``key`` is the cache key of this document's own header: a
-        cache entry whose header was edited answers another request."""
+        """Whether ``key`` is the cache key of this document's own header."""
         header = (self.version, self.mode, self.order, self.letters, self.series, self.dynkin is not None)
         return (isinstance(self.factors, int) and self.factors == len(self.letters)
                 and cache_key(*header) == key)
@@ -262,10 +242,12 @@ def cache_load(key: str, directory: Path | None = None) -> OutputDocument | None
     except OSError:
         return None
     try:
-        return OutputDocument.from_json_text(text)
+        doc = OutputDocument.from_json_text(text)
     except (ValueError, KeyError, TypeError, RecursionError):
         # corrupt or too deeply nested entry: a miss, the writer will replace it
         return None
+    # an entry whose header was edited would answer another request: a miss too
+    return doc if doc.answers(key) else None
 
 
 def cache_store(key: str, doc: OutputDocument, directory: Path | None = None) -> bool:

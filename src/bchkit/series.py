@@ -34,14 +34,14 @@ from .words import Alphabet, NCSeries
 MAX_WORDS = 1 << 22
 
 
-def check_order(n: int, m: int = 2, limit: int = MAX_WORDS) -> None:
-    """Refuse, before any work, n < 1 and orders with over ``limit`` words."""
+def check_order(n: int, m: int = 2) -> None:
+    """Refuse, before any work, n < 1 and orders with over MAX_WORDS words."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    # m >= 2, so m**n > limit once n reaches its bit length; testing that
-    # first keeps the check itself from building a huge power
-    if n >= limit.bit_length() or m**n > limit:
-        raise ValueError(f"order {n} needs up to {m}^{n} words, over the limit of {limit}")
+    # m >= 2, so m**n > MAX_WORDS once n reaches its bit length; testing
+    # that first keeps the check itself from building a huge power
+    if n >= MAX_WORDS.bit_length() or m**n > MAX_WORDS:
+        raise ValueError(f"order {n} needs up to {m}^{n} words, over the limit of {MAX_WORDS}")
 
 
 def t_operator(p: MultilinearPoly, alphabet: Alphabet) -> NCSeries:
@@ -167,19 +167,11 @@ def lex_lanes(n: int, f_list: Sequence[SeriesSpec], stages: Stages | None = None
     return den, nums
 
 
-def _term_for(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet) -> NCSeries:
+@cache
+def _term(n: int, f_list: tuple[SeriesSpec, ...], alphabet: Alphabet) -> NCSeries:
     if len(f_list) != alphabet.size:
         raise ValueError(f"{len(f_list)} factors need {len(f_list)} letters, alphabet has {alphabet.size}")
     return NCSeries.from_lex(alphabet, n, *lex_lanes(n, f_list))
-
-
-@cache
-def _term_cached(n: int, f_list: tuple[SeriesSpec, ...], alphabet: Alphabet) -> NCSeries:
-    return _term_for(n, f_list, alphabet)
-
-
-def _dispatch(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet | None) -> NCSeries:
-    return _term_cached(n, tuple(f_list), alphabet or Alphabet.default(len(f_list)))
 
 
 def bch_term(n: int, alphabet: Alphabet | None = None) -> NCSeries:
@@ -192,8 +184,7 @@ def bch_term_multi(n: int, m: int, alphabet: Alphabet | None = None) -> NCSeries
     if m < 2:
         raise ValueError(f"factor count must be >= 2, got {m}")
     check_order(n, m)
-    exp = SeriesSpec.exponential(n)
-    return _dispatch(n, [exp] * m, alphabet)
+    return logf_term(n, [SeriesSpec.exponential(n)] * m, alphabet)
 
 
 def logf_term(
@@ -204,14 +195,14 @@ def logf_term(
     Per-factor series generalize the common-f product; with every series
     equal to exp this coincides with bch_term_multi.
     """
-    return _dispatch(n, list(f_list), alphabet)
+    return _term(n, tuple(f_list), alphabet or Alphabet.default(len(f_list)))
 
 
 def clear_term_cache() -> None:
     """Drop memoized terms (benchmarking support)."""
-    _term_cached.cache_clear()
+    _term.cache_clear()
 
 
 def term_uncached(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
     """One full pipeline run bypassing the memo cache (benchmarking support)."""
-    return _term_for(n, list(f_list), alphabet or Alphabet.default(len(f_list)))
+    return _term.__wrapped__(n, tuple(f_list), alphabet or Alphabet.default(len(f_list)))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bchkit import cli, output
+from bchkit import cli, output, series
 from bchkit.cli import main
 
 
@@ -359,14 +359,14 @@ class TestSizeLimit:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert f"limit of {cli.MAX_WORDS}" in err
+        assert f"limit of {series.MAX_WORDS}" in err
 
     @pytest.mark.parametrize("command", ["term", "scan"])
     def test_order_zero_is_one_stderr_line(self, capsys, no_work, command):
         assert run(capsys, command, "0") == (1, "", "error: order must be >= 1, got 0\n")
 
     def test_limit_applies_to_words_of_the_term(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_WORDS", 16)
+        monkeypatch.setattr(series, "MAX_WORDS", 16)
         code, out, _ = run(capsys, "term", "4", "--no-cache")
         assert code == 0
         assert len(out.splitlines()) == 4
@@ -429,3 +429,22 @@ class TestParsing:
             main(["--version"])
         assert exc.value.code == 0
         assert "bchkit" in capsys.readouterr().out
+
+    def test_no_flag_carries_over_between_calls(self, capsys):
+        """main reuses one parser per process; each call starts from the defaults."""
+        code, out, _ = run(capsys, "term", "3", "--dynkin", "--format", "json")
+        assert code == 0
+        assert "dynkin" in json.loads(out)
+        run(capsys, "term", "3", "--series", "1,1")
+        code, out, _ = run(capsys, "term", "3")
+        assert code == 0
+        assert "dynkin" not in out
+        cli._build_parser.cache_clear()
+        assert run(capsys, "term", "3") == (code, out, "")
+        code, out, _ = run(capsys, "verify", "2", "--modes", "oracle")
+        assert code == 0
+        assert "signed" not in out
+        code, out, _ = run(capsys, "verify", "2")
+        assert code == 0
+        for mode in ("oracle", "multi", "signed", "dynkin"):
+            assert f"ok {mode} n=2" in out

@@ -26,11 +26,16 @@ A2 = Alphabet.default(2)
 
 
 def make_doc(n=3, with_dynkin=False):
-    z = bch_term(n)
-    brackets = dynkin_substitute(z) if with_dynkin else None
-    return OutputDocument.from_results(
-        __version__, "term", n, ("exp", "exp"), A2, z, brackets
+    exp = SeriesSpec.exponential(n)
+    brackets = dynkin_substitute(bch_term(n)) if with_dynkin else None
+    return OutputDocument.from_lex(
+        __version__, "term", n, ("exp", "exp"), A2, *lex_lanes(n, [exp, exp]), brackets
     )
+
+
+def key_of(doc):
+    """The cache key of the request that ``doc`` answers."""
+    return cache_key(doc.version, doc.mode, doc.order, doc.letters, doc.series, doc.dynkin is not None)
 
 
 class TestDocument:
@@ -116,8 +121,11 @@ def test_rows_from_lanes_match_rows_from_series(specs, n, route):
     alphabet = Alphabet.default(len(specs))
     names = [spec.fingerprint() for spec in specs]
     lex = OutputDocument.from_lex(__version__, "term", n, names, alphabet, *lex_lanes(n, specs))
+    header = (lex.order, lex.factors, lex.letters, lex.series, lex.dynkin)
+    assert header == (n, len(specs), alphabet.letters, tuple(names), None)
     for term in (logf_term(n, specs), route(n, specs)):
-        assert vars(lex) == vars(OutputDocument.from_results(__version__, "term", n, names, alphabet, term))
+        rows = [(alphabet.word_str(w), str(c.numerator), str(c.denominator)) for w, c in term.items_sorted()]
+        assert lex.terms == rows
 
 
 class TestRenderings:
@@ -191,11 +199,19 @@ class TestCache:
         assert cache_load(key, tmp_path) == doc
 
     def test_store_leaves_only_the_entry(self, tmp_path):
-        key = "a" * 64
+        key = key_of(make_doc(4))
         assert cache_store(key, make_doc(3), tmp_path)
         assert cache_store(key, make_doc(4), tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
         assert cache_load(key, tmp_path) == make_doc(4)
+
+    def test_entry_under_another_key_is_a_miss(self, tmp_path):
+        doc = make_doc(3)
+        for key in (key_of(make_doc(4)), key_of(make_doc(3, with_dynkin=True)), "a" * 64):
+            assert cache_store(key, doc, tmp_path)
+            assert cache_load(key, tmp_path) is None
+        assert cache_store(key_of(doc), doc, tmp_path)
+        assert cache_load(key_of(doc), tmp_path) == doc
 
     def test_missing_entry(self, tmp_path):
         assert cache_load("0" * 64, tmp_path) is None
@@ -220,8 +236,9 @@ class TestCache:
         "case", ["list", "string", "deep_nesting", "bad_dynkin_row", *BAD_ROWS]
     )
     def test_malformed_entry_behaves_like_miss(self, tmp_path, case):
-        key = "e" * 64
-        body = json.loads(make_doc(3, with_dynkin=True).to_json_text())
+        doc = make_doc(3, with_dynkin=True)
+        key = key_of(doc)  # the entry's own key, so only its rows make it a miss
+        body = json.loads(doc.to_json_text())
         if case in self.BAD_ROWS:
             body["terms"][0] = self.BAD_ROWS[case]
         if case == "bad_dynkin_row":
