@@ -13,24 +13,31 @@ exactly which assignments vanish:
     (-1)**(n-1), so the all-plus assignment vanishes for odd n > 1.
 
 A table lists the 2**n values by mask (bit i set: position i+1 carries
--1); in that indexing reconstruction is an in-place Walsh-Hadamard
-transform over exact rationals.  Assignments are independent, so table
-building and scans can fan out over worker processes; results come back
-aligned with the masks either way.
+-1); in that indexing reconstruction is a Walsh-Hadamard transform, run
+on integers over the table's common denominator.
+
+Entry d of every row of the log recurrence depends on s_1..s_d alone, so
+one kernel, a depth-first walk over sign prefixes, computes it once for
+all the assignments below a prefix.  Subtrees are independent, so tables
+and scans can fan out over one pool of worker processes per call.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Sequence
+from itertools import repeat
+from math import comb, factorial, lcm
+from operator import add, mul, sub
+from typing import Callable, Iterator, Sequence
 
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
+Keep = Callable[[int, int], bool] | None  # keep(n, mask); None keeps every leaf
 
 
 def _as_signs(n: int, signs: Sequence[int]) -> SignAssignment:
@@ -48,65 +55,90 @@ def _mask_signs(n: int, mask: int) -> SignAssignment:
 
 
 def _reverse_mask(n: int, mask: int) -> int:
-    out = 0
-    for i in range(n):
-        if (mask >> i) & 1:
-            out |= 1 << (n - 1 - i)
-    return out
+    return int(f"{mask:0{n}b}"[::-1], 2)
 
 
 def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
-    """Exact value of the (1, n+1) log entry at one +-1 assignment.
+    """Exact value of the (1, n+1) log entry at one +-1 assignment (one-leaf walk)."""
+    mask = sum(1 << i for i, s in enumerate(_as_signs(n, signs)) if s < 0)
+    return _walk(n, mask, n)[0][1]
 
-    With prefix products P_t = s_1 s_2 ... s_t and D = diag(P_0, ..., P_n),
-    the second factor is D F D, so the product is F D F D.  Scaling column
-    j by j! turns F into the Pascal matrix C(j, k) and keeps every row
-    integral, so u_q = u_{q-1} (F D F D - I) from u_0 = e_0 runs on Python
-    ints; the entry is sum_q (-1)**(q+1) (L/q) u_q[n] / (L n!) with
-    L = lcm(1..n).
+
+def _walk(n: int, root: int, depth: int, keep: Keep = None) -> list[tuple[int, Fraction]]:
+    """(mask, value) at each leaf with ``keep(n, mask)`` of one subtree.
+
+    The subtree holds the masks with ``root`` as their low ``depth`` bits.
+    With P_t = s_1 ... s_t and D = diag(P_0, ..., P_n) the product is
+    F D F D; scaling column j by j! turns F into the Pascal matrix C, so
+    u_q = u_{q-1} (F D F D - I) from u_0 = e_0 runs on ints as
+    a_q = P (C u_{q-1}), u_q = P (C a_q) - u_{q-1} (P entrywise).  Entry d
+    of both depends on s_1..s_d alone: fixing s_d fills it once for the
+    subtree below.  A leaf's value is sum_q (-1)**(q+1) (L/q) u_q[n] / (L n!)
+    with L = lcm(1..n).  Memory beyond the results is O(n**3) ints.
     """
-    s = _as_signs(n, signs)
-    prefix = [1]
-    for x in s:
-        prefix.append(prefix[-1] * x)
     # Its own first-row log, not log_upper_right: a bug shared with the
     # symbolic kernel would then make verify --modes signed pass while wrong.
+    # tails[p][d][k] = p * [C(d, k), ..., C(d, d)], row d of P_d C from k on
+    rows = [[[comb(d, j) for j in range(k, d + 1)] for k in range(d + 1)] for d in range(n + 1)]
+    tails = {1: rows, -1: [[[-c for c in tail] for tail in row] for row in rows]}
     big = lcm(*range(1, n + 1))
-    u = [1] + [0] * n
-    acc = 0
-    for q in range(1, n + 1):
-        w = list(u)
-        for _ in range(2):
-            # w[j] <- sum_k C(j, k) w[k], done as n passes of neighbour additions
-            for i in range(n, 0, -1):
-                for j in range(i, n + 1):
-                    w[j] += w[j - 1]
-            w = [p * x for p, x in zip(prefix, w)]
-        u = [a - b for a, b in zip(w, u)]
-        acc += (-1) ** (q + 1) * (big // q) * u[n]
-    return Fraction(acc, big * factorial(n))
+    weights = [(-1) ** (q + 1) * (big // q) for q in range(1, n + 1)]
+    den = big * factorial(n)
+    # Along the current prefix u[q][j - q] is entry j of u_q and a[q][j - q + 1]
+    # entry j of a_q (lower entries are zero); past entry d the lists hold stale
+    # values of earlier prefixes, which map never reaches: tails[p][d][k] ends.
+    u = [[1] + [0] * n] + [[0] * (n + 1 - q) for q in range(1, n + 1)]
+    a = [[]] + [[0] * (n + 2 - q) for q in range(1, n + 1)]
+    out = []
+
+    def visit(d: int, mask: int, p: int) -> None:
+        # mask fixes s_1..s_d and p = P_d: fill entry d of each row, then recurse
+        if d == n and keep is not None and not keep(n, mask):
+            return
+        tail = tails[p][d]
+        for q in range(1, d + 1):
+            lo = q - 1
+            aq = a[q]
+            aq[d - lo] = sum(map(mul, tail[lo], u[lo]))
+            u[q][d - q] = sum(map(mul, tail[lo], aq)) - u[lo][d - lo]
+        if d == n:
+            out.append((mask, Fraction(sum(map(mul, weights, [uq[-1] for uq in u[1:]])), den)))
+            return
+        a[d + 1][0] = p * u[d][0]
+        for bit in (root >> d & 1,) if d < depth else (0, 1):
+            visit(d + 1, mask | bit << d, -p if bit else p)
+
+    visit(0, 0, 1)
+    return out
 
 
-def _eval_mask_chunk(args: tuple[int, Sequence[int]]) -> list[Fraction]:
-    n, masks = args
-    return [eval_assignment(n, _mask_signs(n, m)) for m in masks]
+def _lattices(
+    orders: Sequence[int], keep: Keep, workers: int | None
+) -> Iterator[tuple[int, list[tuple[int, Fraction]]]]:
+    """Each order with its wanted leaves, sorted by mask.
 
-
-def _values_for_masks(
-    n: int, masks: Sequence[int], workers: int | None
-) -> list[Fraction]:
-    """Evaluate each mask; the result is aligned with ``masks``.
-
-    The pool never holds more than min(workers, cpu count, chunks)
-    processes, whatever ``workers`` asks for.
+    One pool per call, of min(workers, cpu count) processes; orders below
+    4 * workers masks run here.  A job is a low-bit subtree, two or more per
+    process: a range of masks would make each job redo the inner walk.
     """
     workers = min(workers or 1, os.cpu_count() or 1)
-    if workers <= 1 or len(masks) < 4 * workers:
-        return _eval_mask_chunk((n, masks))
-    chunk = (len(masks) + workers - 1) // workers
-    jobs = [(n, masks[lo : lo + chunk]) for lo in range(0, len(masks), chunk)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return [v for values in pool.map(_eval_mask_chunk, jobs) for v in values]
+    pooled = [n for n in orders if workers > 1 and 1 << n >= 4 * workers]
+    depth = (2 * workers - 1).bit_length()
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
+        for n in orders:
+            if n in pooled:
+                parts = pool.map(_walk, repeat(n), range(1 << depth), repeat(depth), repeat(keep))
+                yield n, sorted(leaf for leaves in parts for leaf in leaves)
+            else:
+                yield n, sorted(_walk(n, 0, 0, keep))
+
+
+def _odd_plus(n: int, mask: int) -> bool:
+    return (n - mask.bit_count()) % 2 == 1
+
+
+def _pair_rep(n: int, mask: int) -> bool:
+    return _odd_plus(n, mask) and mask <= _reverse_mask(n, mask)
 
 
 @dataclass
@@ -143,12 +175,12 @@ def build_table(
         raise ValueError(f"order must be >= 1, got {n}")
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
+    [(_, leaves)] = _lattices([n], None if pruning == "none" else _pair_rep, workers)
     if pruning == "none":
-        return SignedCoefficientTable(n, _values_for_masks(n, range(1 << n), workers))
+        return SignedCoefficientTable(n, [v for _, v in leaves])
     flip = (-1) ** (n - 1)
-    reps = [m for m in range(1 << n) if (n - m.bit_count()) % 2 and m <= _reverse_mask(n, m)]
     values = [Fraction(0)] * (1 << n)
-    for rep, v in zip(reps, _values_for_masks(n, reps, workers)):
+    for rep, v in leaves:
         values[_reverse_mask(n, rep)] = flip * v
         values[rep] = v
     return SignedCoefficientTable(n, values)
@@ -169,17 +201,18 @@ def reconstruct_term(
         raise ValueError(f"table incomplete: {len(table.values)} of {1 << n} assignments")
     if alphabet is None:
         alphabet = Alphabet.default(2)
-    t = list(table.values)
-    for bit in range(n):
-        h = 1 << bit
-        for i in range(1 << n):
-            if not i & h:
-                t[i], t[i + h] = t[i] + t[i + h], t[i] - t[i + h]
-    scale = Fraction(1, 1 << n)
+    # one common denominator, so the butterflies run on ints; each pass
+    # transforms the lowest index bit and rotates it to the top
+    den = lcm(*(v.denominator for v in table.values))
+    t = [v.numerator * (den // v.denominator) for v in table.values]
+    for _ in range(n):
+        even, odd = t[0::2], t[1::2]
+        t = [*map(add, even, odd), *map(sub, even, odd)]
+    den <<= n
     terms = {}
     for wmask, total in enumerate(t):
         if total:
-            terms[tuple((wmask >> i) & 1 for i in range(n))] = total * scale
+            terms[tuple((wmask >> i) & 1 for i in range(n))] = Fraction(total, den)
     return NCSeries(alphabet, n, terms)
 
 
@@ -205,18 +238,11 @@ def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport
     if n_max < 1:
         raise ValueError(f"order must be >= 1, got {n_max}")
     reports = []
-    for n in range(1, n_max + 1):
-        surviving = [m for m in range(1 << n) if (n - m.bit_count()) % 2 == 1]
-        pruned = (1 << n) - len(surviving)
-        structural = 0
-        nonzero = 0
-        unexpected = []
-        for mask, value in zip(surviving, _values_for_masks(n, surviving, workers)):
-            if value:
-                nonzero += 1
-            elif mask == 0 and n > 1 and n % 2 == 1:
-                structural += 1
-            else:
-                unexpected.append(_mask_signs(n, mask))
-        reports.append(ScanReport(n, pruned, structural, nonzero, unexpected))
+    for n, leaves in _lattices(range(1, n_max + 1), _odd_plus, workers):
+        zeros = [mask for mask, value in leaves if not value]
+        # zeros is sorted, so the all-plus mask 0 comes first when present
+        structural = int(n > 1 and n % 2 == 1 and zeros[:1] == [0])
+        unexpected = [_mask_signs(n, mask) for mask in zeros[structural:]]
+        nonzero = len(leaves) - len(zeros)
+        reports.append(ScanReport(n, (1 << n) - len(leaves), structural, nonzero, unexpected))
     return reports

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from bchkit.multilinear import MultilinearPoly
 from bchkit.trimatrix import TriMatrix, mat_mul
@@ -85,3 +85,30 @@ def normalized_pair(num: int, den: int) -> tuple[int, int]:
     if den < 0:
         num, den = -num, -den
     return num, den
+
+
+def eval_assignment_reference(n: int, signs) -> Fraction:
+    """The log entry at one +-1 assignment, one full row recurrence per call.
+
+    Test-only reference for the lattice walk: u_q = u_{q-1} (F D F D - I)
+    with column j scaled by j!, so F acts as the Pascal matrix, applied as
+    n passes of neighbour additions per factor; no state is shared between
+    assignments.
+    """
+    prefix = [1]
+    for x in signs:
+        prefix.append(prefix[-1] * x)
+    big = lcm(*range(1, n + 1))
+    u = [1] + [0] * n
+    acc = 0
+    for q in range(1, n + 1):
+        w = list(u)
+        for _ in range(2):
+            # w[j] <- sum_k C(j, k) w[k], done as n passes of neighbour additions
+            for i in range(n, 0, -1):
+                for j in range(i, n + 1):
+                    w[j] += w[j - 1]
+            w = [p * x for p, x in zip(prefix, w)]
+        u = [a - b for a, b in zip(w, u)]
+        acc += (-1) ** (q + 1) * (big // q) * u[n]
+    return Fraction(acc, big * factorial(n))

@@ -261,6 +261,14 @@ class TestVerify:
         assert code == 1
         assert "n <= 10" in err
 
+    def test_signed_cap_is_fourteen(self, capsys):
+        code, out, _ = run(capsys, "verify", "12", "--modes", "signed")
+        assert code == 0
+        assert "ok signed n=12" in out
+        code, out, err = run(capsys, "verify", "15", "--modes", "signed")
+        assert (code, out) == (1, "")
+        assert "n <= 14" in err
+
     def test_default_modes_clamp_with_note(self, capsys):
         code, out, err = run(capsys, "verify", "7")
         assert code == 0

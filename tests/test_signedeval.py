@@ -12,13 +12,14 @@ from bchkit.signedeval import (
     SignedCoefficientTable,
     _mask_signs,
     _reverse_mask,
-    _values_for_masks,
+    _walk,
     build_table,
     eval_assignment,
     reconstruct_term,
     scan_nonvanishing,
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
+from helpers import eval_assignment_reference
 
 
 def all_assignments(n):
@@ -68,6 +69,52 @@ class TestEvalAssignment:
 
         for signs in assignments:
             assert eval_assignment(n, signs) == value(signs)
+
+
+class TestWalk:
+    """The prefix-sharing walk against the one-assignment-at-a-time loop."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_mask_matches_the_reference(self, n):
+        expected = [(m, eval_assignment_reference(n, _mask_signs(n, m))) for m in range(1 << n)]
+        assert sorted(_walk(n, 0, 0)) == expected
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_sampled_masks_match_the_reference(self, n):
+        sample = set(random.Random(n).sample(range(1 << n), 24)) | {0, (1 << n) - 1}
+        got = _walk(n, 0, 0, lambda order, mask: mask in sample)
+        assert sorted(got) == [(m, eval_assignment_reference(n, _mask_signs(n, m))) for m in sorted(sample)]
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_no_leaf_kept(self, n):
+        assert _walk(n, 0, 0, lambda order, mask: False) == []
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_one_leaf(self, n):
+        mask = random.Random(n).randrange(1 << n)
+        expected = [(mask, eval_assignment_reference(n, _mask_signs(n, mask)))]
+        assert _walk(n, 0, 0, lambda order, m: m == mask) == expected
+        assert _walk(n, mask, n) == expected
+        assert eval_assignment(n, _mask_signs(n, mask)) == expected[0][1]
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_subtrees_at_each_depth_partition_the_lattice(self, n):
+        whole = sorted(_walk(n, 0, 0))
+        for depth in range(n + 1):
+            parts = [_walk(n, root, depth) for root in range(1 << depth)]
+            for root, part in enumerate(parts):
+                assert all(mask % (1 << depth) == root for mask, _ in part)
+            assert sorted(leaf for part in parts for leaf in part) == whole
+
+    def test_keep_sees_the_order_and_each_leaf_once(self):
+        seen = []
+
+        def keep(order, mask):
+            seen.append((order, mask))
+            return True
+
+        _walk(6, 0b10, 2, keep)
+        assert sorted(seen) == [(6, m) for m in range(64) if m % 4 == 0b10]
 
 
 class TestSymmetries:
@@ -123,20 +170,22 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_symmetry_evaluates_one_mask_per_reversal_pair(self, monkeypatch, n):
+        # the leaves the kernel computes, i.e. those it returns a value for
         evaluated = []
 
-        def counting(order, signs):
-            evaluated.append(signs)
-            return eval_assignment(order, signs)
+        def recording(*args):
+            leaves = _walk(*args)
+            evaluated.extend(mask for mask, _ in leaves)
+            return leaves
 
-        monkeypatch.setattr(signedeval, "eval_assignment", counting)
+        monkeypatch.setattr(signedeval, "_walk", recording)
         odd_plus = [m for m in range(1 << n) if (n - m.bit_count()) % 2 == 1]
         pairs = {min(m, _reverse_mask(n, m)) for m in odd_plus}
         build_table(n, "symmetry")
-        assert sorted(evaluated) == sorted(_mask_signs(n, m) for m in pairs)
+        assert sorted(evaluated) == sorted(pairs)
         evaluated.clear()
         build_table(n, "none")
-        assert sorted(evaluated) == sorted(_mask_signs(n, m) for m in range(1 << n))
+        assert sorted(evaluated) == list(range(1 << n))
 
 
 class TestReconstruct:
@@ -217,12 +266,14 @@ class TestWorkerCap:
     """The pool is replaced by an in-process fake, so no process starts."""
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
+    def pools(self, monkeypatch):
+        # one entry per pool constructed: its size and the job lists mapped
+        pools = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.maps = []
+                pools.append((max_workers, self.maps))
 
             def __enter__(self):
                 return self
@@ -230,26 +281,51 @@ class TestWorkerCap:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                jobs = list(zip(*iterables))
+                self.maps.append(jobs)
+                return [fn(*job) for job in jobs]
 
         monkeypatch.setattr(signedeval, "ProcessPoolExecutor", RecordingPool)
-        return sizes
+        return pools
 
     @pytest.mark.parametrize(
         "requested,cpus,masks,expected",
         [
             (4000, 2, 64, [2]),  # capped at the CPU count
             (3, 8, 64, [3]),  # the request is below both caps
-            (10, 16, 41, [9]),  # 41 masks in chunks of 5 make only 9 jobs
+            (10, 16, 64, [10]),  # 32 subtree jobs: each of the 10 processes gets some
             (4000, None, 64, []),  # unknown CPU count: serial
             (4000, 1, 64, []),  # one CPU: serial
+            (10, 16, 32, []),  # below 4 masks per worker: serial
         ],
     )
-    def test_pool_size(self, monkeypatch, pool_sizes, requested, cpus, masks, expected):
+    def test_pool_size(self, monkeypatch, pools, requested, cpus, masks, expected):
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: cpus)
-        chosen = list(range(64))[:masks]
-        got = _values_for_masks(6, chosen, requested)
-        assert pool_sizes == expected
-        assert got == [eval_assignment(6, _mask_signs(6, m)) for m in chosen]
-        assert got == _values_for_masks(6, chosen, None)
+        n = masks.bit_length() - 1
+        got = build_table(n, "none", requested).values
+        assert [size for size, _ in pools] == expected
+        assert got == [eval_assignment_reference(n, _mask_signs(n, m)) for m in range(masks)]
+        assert got == build_table(n, "none").values
+
+    @pytest.mark.parametrize("workers,n", [(2, 3), (2, 7), (3, 6), (5, 8)])
+    def test_jobs_are_subtrees_covering_each_mask_once(self, monkeypatch, pools, workers, n):
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 8)
+        build_table(n, "none", workers)
+        [(_, [jobs])] = pools
+        assert len(jobs) >= 2 * workers
+        masks = []
+        for order, root, depth, keep in jobs:
+            assert (order, keep) == (n, None)
+            leaves = _walk(order, root, depth, keep)
+            assert all(mask % (1 << depth) == root for mask, _ in leaves)
+            masks += [mask for mask, _ in leaves]
+        assert sorted(masks) == list(range(1 << n))
+
+    def test_scan_opens_one_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
+        got = scan_nonvanishing(8, workers=2)
+        assert len(pools) == 1
+        # orders 3..8 reach 4 masks per worker; each maps its jobs on that pool
+        assert len(pools[0][1]) == 6
+        assert [vars(r) for r in got] == [vars(r) for r in scan_nonvanishing(8)]
