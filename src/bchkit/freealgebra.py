@@ -83,11 +83,7 @@ def series_at_letter(
     f: SeriesSpec, alphabet: Alphabet, max_degree: int, index: int
 ) -> NCSeries:
     """f evaluated at a single letter: sum_k c_k letter^k up to the cap."""
-    terms = {}
-    for k in range(max_degree + 1):
-        c = f.coeff(k)
-        if c:
-            terms[(index,) * k] = c
+    terms = {(index,) * k: f.coeff(k) for k in range(max_degree + 1)}
     return NCSeries(alphabet, max_degree, terms)
 
 

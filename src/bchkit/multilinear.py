@@ -122,12 +122,8 @@ class ExactCombination:
         self._compatible(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return self._with_terms(out)
+            out[key] = out.get(key, ZERO) + c
+        return self._with_terms({key: c for key, c in out.items() if c})
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -214,12 +210,8 @@ class MultilinearPoly(ExactCombination):
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = mono_mul(n, ma, mb)
-                s = out.get(mono, ZERO) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return self._with_terms(out)
+                out[mono] = out.get(mono, ZERO) + ca * cb
+        return self._with_terms({mono: c for mono, c in out.items() if c})
 
     __rmul__ = __mul__  # the product commutes
 

@@ -38,6 +38,7 @@ from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
 Keep = Callable[[int, int], bool] | None  # keep(n, mask); None keeps every leaf
+POOL_MIN_MASKS = 1 << 12  # below this, an order's walk costs less than a pool's start
 
 
 def _as_signs(n: int, signs: Sequence[int]) -> SignAssignment:
@@ -118,11 +119,12 @@ def _lattices(
     """Each order with its wanted leaves, sorted by mask.
 
     One pool per call, of min(workers, cpu count) processes; orders below
-    4 * workers masks run here.  A job is a low-bit subtree, two or more per
-    process: a range of masks would make each job redo the inner walk.
+    max(4 * workers, POOL_MIN_MASKS) masks run here.  A job is a low-bit
+    subtree, two or more per process: a range of masks would make each job
+    redo the inner walk.
     """
     workers = min(workers or 1, os.cpu_count() or 1)
-    pooled = [n for n in orders if workers > 1 and 1 << n >= 4 * workers]
+    pooled = [n for n in orders if workers > 1 and 1 << n >= max(4 * workers, POOL_MIN_MASKS)]
     depth = (2 * workers - 1).bit_length()
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         for n in orders:
@@ -193,14 +195,14 @@ def reconstruct_term(
 
     The word with y exactly at positions Y gets coefficient
     2**(-n) sum_s value(s) prod_{i in Y} s_i, which is the Walsh-Hadamard
-    transform of the table with Y read as a mask.
+    transform of the table with Y read as a mask.  The alphabet must have
+    two letters (NCSeries.from_lex raises ValueError otherwise).
     """
     if table.n != n:
         raise ValueError(f"table is for order {table.n}, not {n}")
     if not table.is_complete():
         raise ValueError(f"table incomplete: {len(table.values)} of {1 << n} assignments")
-    if alphabet is None:
-        alphabet = Alphabet.default(2)
+    alphabet = alphabet or Alphabet.default(2)
     # one common denominator, so the butterflies run on ints; each pass
     # transforms the lowest index bit and rotates it to the top
     den = lcm(*(v.denominator for v in table.values))
@@ -208,12 +210,9 @@ def reconstruct_term(
     for _ in range(n):
         even, odd = t[0::2], t[1::2]
         t = [*map(add, even, odd), *map(sub, even, odd)]
-    den <<= n
-    terms = {}
-    for wmask, total in enumerate(t):
-        if total:
-            terms[tuple((wmask >> i) & 1 for i in range(n))] = Fraction(total, den)
-    return NCSeries(alphabet, n, terms)
+    # bit i of t's index is position i+1; graded-lex puts position 1 on top
+    nums = [t[_reverse_mask(n, k)] for k in range(1 << n)]
+    return NCSeries.from_lex(alphabet, n, den << n, nums)
 
 
 @dataclass

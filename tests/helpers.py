@@ -13,6 +13,7 @@ from math import factorial, gcd, lcm
 
 from bchkit.multilinear import MultilinearPoly
 from bchkit.trimatrix import TriMatrix, mat_mul
+from bchkit.words import NCSeries
 
 
 def mat_add(a: TriMatrix, b: TriMatrix) -> TriMatrix:
@@ -112,3 +113,25 @@ def eval_assignment_reference(n: int, signs) -> Fraction:
         u = [a - b for a, b in zip(w, u)]
         acc += (-1) ** (q + 1) * (big // q) * u[n]
     return Fraction(acc, big * factorial(n))
+
+
+def expand_commutators_reference(terms, alphabet) -> NCSeries:
+    """Left-normed brackets expanded one at a time through word dicts.
+
+    Test-only reference for the graded-lex transform: a length-n bracket
+    unfolds into 2**(n-1) signed words, r(w'a) = r(w') a - a r(w'), and
+    the words are merged into one map.
+    """
+    degree = max((len(t.word) for t in terms), default=0)
+    acc = {}
+    for term in terms:
+        expansion = {term.word[:1]: 1}
+        for letter in term.word[1:]:
+            nxt = {}
+            for u, c in expansion.items():
+                nxt[u + (letter,)] = nxt.get(u + (letter,), 0) + c
+                nxt[(letter,) + u] = nxt.get((letter,) + u, 0) - c
+            expansion = nxt
+        for u, c in expansion.items():
+            acc[u] = acc.get(u, Fraction(0)) + term.coefficient * c
+    return NCSeries(alphabet, degree, acc)

@@ -269,6 +269,14 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert "n <= 14" in err
 
+    def test_dynkin_cap_is_eighteen(self, capsys):
+        code, out, _ = run(capsys, "verify", "14", "--modes", "dynkin")
+        assert code == 0
+        assert "ok dynkin n=14 (8188 words)" in out
+        code, out, err = run(capsys, "verify", "19", "--modes", "dynkin")
+        assert (code, out) == (1, "")
+        assert "n <= 18" in err
+
     def test_default_modes_clamp_with_note(self, capsys):
         code, out, err = run(capsys, "verify", "7")
         assert code == 0

@@ -1,12 +1,14 @@
 """Commutator substitution and re-expansion."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from bchkit.dynkin import LieTerm, dynkin_substitute, expand_commutators
-from bchkit.series import bch_term
+from bchkit.series import MAX_WORDS, bch_term
 from bchkit.words import Alphabet, NCSeries
+from helpers import expand_commutators_reference
 
 A2 = Alphabet.default(2)
 
@@ -64,6 +66,37 @@ class TestExpand:
             combined[w] = combined.get(w, Fraction(0)) + c
         assert joint.terms == combined
 
+    @pytest.mark.parametrize("word", [(0, -1), (-1, 0, 1), (0, 3), (2, 1, 0)])
+    def test_rejects_letters_outside_the_alphabet(self, word):
+        # a dense index would wrap -1, or move (0, 3) onto the word (1, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            expand_commutators([LieTerm(Fraction(1), (0, 1)), LieTerm(Fraction(1), word)], A2)
+
+    @pytest.mark.parametrize("m,length", [(2, 23), (25, 5), (2, 10**6)])
+    def test_refuses_lengths_over_max_words(self, m, length):
+        # refused before any of the m**length entries is allocated
+        assert m**length > MAX_WORDS
+        with pytest.raises(ValueError, match="over the limit"):
+            expand_commutators([LieTerm(Fraction(1), (1,) * length)], Alphabet.default(m))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_per_bracket_reference(self, seed):
+        rng = random.Random(seed)
+        alphabet = Alphabet.default(2 + seed % 2)
+        m = alphabet.size
+        count = 0 if seed < 2 else rng.randint(1, 12)  # seeds 0 and 1: the empty list
+        terms = [
+            LieTerm(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                    tuple(rng.randrange(m) for _ in range(rng.randint(1, 6))))
+            for _ in range(count)
+        ]
+        if terms:
+            terms.append(LieTerm(Fraction(0), terms[0].word))  # a zero coefficient
+            terms.append(LieTerm(Fraction(1, 7), terms[-1].word))  # the word again
+        got = expand_commutators(terms, alphabet)
+        assert got == expand_commutators_reference(terms, alphabet)
+        assert got.max_degree == max((len(t.word) for t in terms), default=0)
+
     def test_triple_bracket_hand_expansion(self):
         # [[[x,y],x],y] = By - yB for B = 2xyx - yxx - xxy; the yxxy pieces cancel
         got = expand_commutators([LieTerm(Fraction(1), (0, 1, 0, 1))], A2)
@@ -71,10 +104,20 @@ class TestExpand:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 9), 12, 16])
     def test_bch_term_is_fixed(self, n):
         z = bch_term(n)
         assert expand_commutators(dynkin_substitute(z), A2) == z
+
+    @pytest.mark.parametrize("n", [2, 9, 14])
+    @pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)])
+    def test_one_wrong_coefficient_fails(self, n, delta):
+        # no lone word of length >= 2 is a Lie element, so z + delta*w is not
+        z = bch_term(n)
+        rng = random.Random(n)
+        word = tuple(rng.randrange(2) for _ in range(n))
+        wrong = z + NCSeries(A2, n, {word: delta})
+        assert expand_commutators(dynkin_substitute(wrong), A2) != wrong
 
     def test_single_letters_mutually_inverse(self):
         z1 = bch_term(1)

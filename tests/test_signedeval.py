@@ -9,6 +9,7 @@ import pytest
 from bchkit import signedeval
 from bchkit.series import bch_term
 from bchkit.signedeval import (
+    POOL_MIN_MASKS,
     SignedCoefficientTable,
     _mask_signs,
     _reverse_mask,
@@ -19,6 +20,7 @@ from bchkit.signedeval import (
     scan_nonvanishing,
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
+from bchkit.words import Alphabet
 from helpers import eval_assignment_reference
 
 
@@ -214,6 +216,12 @@ class TestReconstruct:
     def test_empty_table_type(self):
         assert not SignedCoefficientTable(3).is_complete()
 
+    def test_needs_a_two_letter_alphabet(self):
+        with pytest.raises(ValueError):
+            reconstruct_term(3, build_table(3), Alphabet.default(3))
+        z = reconstruct_term(3, build_table(3), Alphabet.from_names("ab"))
+        assert str(z) == str(bch_term(3)).replace("x", "a").replace("y", "b")
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_tables_match_the_definition(self, n):
         # tables without the BCH symmetries, so a bit-order slip cannot cancel out
@@ -287,6 +295,8 @@ class TestWorkerCap:
                 return [fn(*job) for job in jobs]
 
         monkeypatch.setattr(signedeval, "ProcessPoolExecutor", RecordingPool)
+        # the rows below test the 4 * workers rule alone; test_pool_floor the floor
+        monkeypatch.setattr(signedeval, "POOL_MIN_MASKS", 1)
         return pools
 
     @pytest.mark.parametrize(
@@ -321,6 +331,16 @@ class TestWorkerCap:
             assert all(mask % (1 << depth) == root for mask, _ in leaves)
             masks += [mask for mask, _ in leaves]
         assert sorted(masks) == list(range(1 << n))
+
+    @pytest.mark.parametrize("n,expected", [(11, []), (12, [2])])
+    def test_pool_floor(self, monkeypatch, pools, n, expected):
+        # the real floor: scan 11 --workers 2 stays serial, 2**12 masks pool
+        monkeypatch.setattr(signedeval, "POOL_MIN_MASKS", POOL_MIN_MASKS)
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
+        got = scan_nonvanishing(n, workers=2)
+        assert [size for size, _ in pools] == expected
+        assert all(len(maps) == 1 for _, maps in pools)
+        assert [vars(r) for r in got] == [vars(r) for r in scan_nonvanishing(n)]
 
     def test_scan_opens_one_pool(self, monkeypatch, pools):
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
