@@ -198,7 +198,7 @@ def _first_diff(a: NCSeries, b: NCSeries) -> tuple[tuple[int, ...], Fraction, Fr
 # Per-mode order caps: the oracle's cost grows like m**n and the signed
 # route evaluates 2**n sign assignments, so each route has a practical ceiling.
 VERIFY_MODES = ("oracle", "multi", "signed", "dynkin")
-VERIFY_CAPS = {"oracle": 10, "multi": 6, "signed": 14, "dynkin": 18}
+VERIFY_CAPS = {"oracle": 12, "multi": 6, "signed": 14, "dynkin": 18}
 
 
 def _verify_pair(mode: str, n: int) -> tuple[NCSeries, NCSeries, Alphabet]:

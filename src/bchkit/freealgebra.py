@@ -2,17 +2,17 @@
 
 Series here are NCSeries, maps from words to rationals, multiplied by word
 concatenation with everything past the truncation degree discarded as it
-arises.  Deliberately the slow, obvious implementation: none of the matrix
-pipeline's algorithm (no matrices, no multilinear polynomials, no first-row
-log).  Its ``+`` and scaling are ``multilinear.ExactCombination``'s, shared
-with ``MultilinearPoly``; the packed kernel calls neither, so a fault there
-shows as oracle != kernel and as matrix reference != kernel.
+arises.  Deliberately the slow, obvious algorithm, none of the matrix
+pipeline's: no matrices, no packed lanes, no first-row log.  It shares only
+the word series type and the input SeriesSpec with the rest of the package,
+and does its own fraction-free arithmetic: integer numerators per word over
+one common denominator, and one Fraction per output word at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries, Word
@@ -21,62 +21,73 @@ from .words import Alphabet, NCSeries, Word
 TruncatedNCSeries = NCSeries
 
 
-def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
-    """Concatenation product, dropping overweight words as they arise.
+def _numerators(a: NCSeries) -> tuple[dict[Word, int], int]:
+    """a as integer numerators over the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in a.terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in a.terms.items()}, den
 
-    b's terms are bucketed by length so only pairs that fit under the
-    truncation degree are ever touched.
-    """
-    a._compatible(b)
-    cap = a.max_degree
-    buckets: dict[int, list[tuple[Word, Fraction]]] = {}
-    for wb, cb in b.terms.items():
+
+def _concat(a: dict[Word, int], b: dict[Word, int], cap: int) -> dict[Word, int]:
+    """Integer concatenation product without overweight words or zeros; b is
+    bucketed by length so only pairs that fit under ``cap`` are touched."""
+    buckets: dict[int, list[tuple[Word, int]]] = {}
+    for wb, cb in b.items():
         buckets.setdefault(len(wb), []).append((wb, cb))
-    out: dict[Word, Fraction] = {}
-    zero = Fraction(0)
-    for wa, ca in a.terms.items():
+    out: dict[Word, int] = {}
+    for wa, ca in a.items():
         room = cap - len(wa)
         for length, pairs in buckets.items():
             if length > room:
                 continue
             for wb, cb in pairs:
                 word = wa + wb
-                s = out.get(word, zero) + ca * cb
-                if s:
-                    out[word] = s
-                else:
-                    del out[word]
-    result = NCSeries(a.alphabet, cap)
-    result.terms = out
-    return result
+                out[word] = out.get(word, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
+    """Concatenation product, dropping overweight words as they arise."""
+    a._compatible(b)
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    den = da * db
+    return a._with_terms({w: Fraction(c, den) for w, c in _concat(na, nb, a.max_degree).items()})
+
+
+def _power_sum(a: NCSeries, weights: list[Fraction]) -> NCSeries:
+    """sum_k weights[k] x^k, k = 0..max_degree, x = a minus its integer
+    constant, stopping once x^k vanishes.  x^k is integers over dx**k, so every
+    term is an integer over lcm(weight denominators) * dx**max_degree."""
+    cap = a.max_degree
+    x, dx = _numerators(a)
+    x.pop((), None)
+    big = lcm(*(w.denominator for w in weights))
+    power, acc = {(): 1}, {}
+    for k, w in enumerate(weights):
+        if k:
+            power = _concat(power, x, cap)
+            if not power:
+                break
+        scale = w.numerator * (big // w.denominator) * dx ** (cap - k)
+        for word, c in power.items():
+            acc[word] = acc.get(word, 0) + scale * c
+    den = big * dx**cap
+    return a._with_terms({w: Fraction(c, den) for w, c in acc.items() if c})
 
 
 def nc_exp(a: NCSeries) -> NCSeries:
     """sum_{k=0}^{n} a^k / k! for a with zero constant term."""
     if a.coefficient(()) != 0:
         raise ValueError("nc_exp needs a zero constant term")
-    acc = power = NCSeries(a.alphabet, a.max_degree, {(): 1})
-    for k in range(1, a.max_degree + 1):
-        power = nc_mul(power, a)
-        if not power.terms:
-            break
-        acc = acc + power.scaled(Fraction(1, factorial(k)))
-    return acc
+    return _power_sum(a, [Fraction(1, factorial(k)) for k in range(a.max_degree + 1)])
 
 
 def nc_log(a: NCSeries) -> NCSeries:
     """-sum_{q=1}^{n} ((-1)^q / q) (a - 1)^q for a with constant term 1."""
     if a.coefficient(()) != 1:
         raise ValueError("nc_log needs constant term exactly 1")
-    power = NCSeries(a.alphabet, a.max_degree, {(): 1})
-    u = a - power
-    acc = NCSeries(a.alphabet, a.max_degree)
-    for q in range(1, a.max_degree + 1):
-        power = nc_mul(power, u)
-        if not power.terms:
-            break
-        acc = acc + power.scaled(Fraction((-1) ** (q + 1), q))
-    return acc
+    weights = [Fraction((-1) ** (q + 1), q) if q else Fraction(0) for q in range(a.max_degree + 1)]
+    return _power_sum(a, weights)
 
 
 def series_at_letter(

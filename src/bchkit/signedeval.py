@@ -16,38 +16,31 @@ A table lists the 2**n values by mask (bit i set: position i+1 carries
 -1); in that indexing reconstruction is a Walsh-Hadamard transform, run
 on integers over the table's common denominator.
 
-Entry d of every row of the log recurrence depends on s_1..s_d alone, so
-one kernel, a depth-first walk over sign prefixes, computes it once for
-all the assignments below a prefix.  Subtrees are independent, so tables
-and scans can fan out over one pool of worker processes per call.
+Entry d of every row of the log recurrence depends on s_1..s_d alone, and
+the leading (d+1) x (d+1) block of the order-n product is the order-d one.
+So one kernel, a depth-first walk over sign prefixes, fills entry d once
+per prefix, and its prefixes of length d are the order-d assignments: a
+scan of orders 1..n is one walk.  Tables and scans fan out over one pool of
+processes per call, one subtree per job; a prefix shorter than the jobs'
+depth comes only from the job whose root is that prefix.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, repeat
 from math import comb, factorial, lcm
-from operator import add, mul, sub
-from typing import Callable, Iterator, Sequence
+from operator import add, itemgetter, mul, sub
+from typing import Callable, Sequence
 
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
-Keep = Callable[[int, int], bool] | None  # keep(n, mask); None keeps every leaf
-POOL_MIN_MASKS = 1 << 12  # below this, an order's walk costs less than a pool's start
-
-
-def _as_signs(n: int, signs: Sequence[int]) -> SignAssignment:
-    out = tuple(signs)
-    if len(out) != n:
-        raise ValueError(f"expected {n} signs, got {len(out)}")
-    if any(s not in (1, -1) for s in out):
-        raise ValueError("signs must be +1 or -1")
-    return out
+Keep = Callable[[int, int], bool] | None  # keep(order, mask); None keeps every leaf
+POOL_MIN_MASKS = 1 << 12  # below this many top-order masks, the walk costs less than a pool
 
 
 def _mask_signs(n: int, mask: int) -> SignAssignment:
@@ -61,12 +54,21 @@ def _reverse_mask(n: int, mask: int) -> int:
 
 def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
     """Exact value of the (1, n+1) log entry at one +-1 assignment (one-leaf walk)."""
-    mask = sum(1 << i for i, s in enumerate(_as_signs(n, signs)) if s < 0)
-    return _walk(n, mask, n)[0][1]
+    signs = tuple(signs)
+    if len(signs) != n:
+        raise ValueError(f"expected {n} signs, got {len(signs)}")
+    if any(s not in (1, -1) for s in signs):
+        raise ValueError("signs must be +1 or -1")
+    mask = sum(1 << i for i, s in enumerate(signs) if s < 0)
+    return _walk(n, mask, n)[0][2]
 
 
-def _walk(n: int, root: int, depth: int, keep: Keep = None) -> list[tuple[int, Fraction]]:
-    """(mask, value) at each leaf with ``keep(n, mask)`` of one subtree.
+Leaf = tuple[int, int, Fraction]  # (order, mask, value)
+
+
+def _walk(n: int, root: int, depth: int, keep: Keep = None, low: int | None = None) -> list[Leaf]:
+    """(order, mask, value) of one subtree, for each order d in low..n
+    (low defaults to n) and each mask of d signs with ``keep(d, mask)``.
 
     The subtree holds the masks with ``root`` as their low ``depth`` bits.
     With P_t = s_1 ... s_t and D = diag(P_0, ..., P_n) the product is
@@ -74,17 +76,24 @@ def _walk(n: int, root: int, depth: int, keep: Keep = None) -> list[tuple[int, F
     u_q = u_{q-1} (F D F D - I) from u_0 = e_0 runs on ints as
     a_q = P (C u_{q-1}), u_q = P (C a_q) - u_{q-1} (P entrywise).  Entry d
     of both depends on s_1..s_d alone: fixing s_d fills it once for the
-    subtree below.  A leaf's value is sum_q (-1)**(q+1) (L/q) u_q[n] / (L n!)
-    with L = lcm(1..n).  Memory beyond the results is O(n**3) ints.
+    subtree below.  The leading (d+1) x (d+1) block of the order-n product
+    is the order-d product, so once entry d is filled the prefix is a leaf
+    of order d, with value sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!) and
+    L = lcm(1..d).  A prefix shorter than ``depth`` lies in several subtrees;
+    only the one rooted at it (root >> d == 0) emits it, so the subtrees of
+    one depth emit each leaf once.  Memory beyond the leaves is O(n**3) ints.
     """
     # Its own first-row log, not log_upper_right: a bug shared with the
     # symbolic kernel would then make verify --modes signed pass while wrong.
     # tails[p][d][k] = p * [C(d, k), ..., C(d, d)], row d of P_d C from k on
+    low = n if low is None else low
     rows = [[[comb(d, j) for j in range(k, d + 1)] for k in range(d + 1)] for d in range(n + 1)]
     tails = {1: rows, -1: [[[-c for c in tail] for tail in row] for row in rows]}
-    big = lcm(*range(1, n + 1))
-    weights = [(-1) ** (q + 1) * (big // q) for q in range(1, n + 1)]
-    den = big * factorial(n)
+    weights, dens = {}, {}
+    for d in range(low, n + 1):
+        big = lcm(*range(1, d + 1))
+        weights[d] = [(-1) ** (q + 1) * (big // q) for q in range(1, d + 1)]
+        dens[d] = big * factorial(d)
     # Along the current prefix u[q][j - q] is entry j of u_q and a[q][j - q + 1]
     # entry j of a_q (lower entries are zero); past entry d the lists hold stale
     # values of earlier prefixes, which map never reaches: tails[p][d][k] ends.
@@ -93,8 +102,10 @@ def _walk(n: int, root: int, depth: int, keep: Keep = None) -> list[tuple[int, F
     out = []
 
     def visit(d: int, mask: int, p: int) -> None:
-        # mask fixes s_1..s_d and p = P_d: fill entry d of each row, then recurse
-        if d == n and keep is not None and not keep(n, mask):
+        # mask fixes s_1..s_d and p = P_d: fill entry d of each row, emit the
+        # order-d leaf if wanted, then recurse
+        emit = d >= low and root >> d == 0 and (keep is None or keep(d, mask))
+        if d == n and not emit:
             return
         tail = tails[p][d]
         for q in range(1, d + 1):
@@ -102,37 +113,32 @@ def _walk(n: int, root: int, depth: int, keep: Keep = None) -> list[tuple[int, F
             aq = a[q]
             aq[d - lo] = sum(map(mul, tail[lo], u[lo]))
             u[q][d - q] = sum(map(mul, tail[lo], aq)) - u[lo][d - lo]
+        if emit:
+            entries = [u[q][d - q] for q in range(1, d + 1)]
+            out.append((d, mask, Fraction(sum(map(mul, weights[d], entries)), dens[d])))
         if d == n:
-            out.append((mask, Fraction(sum(map(mul, weights, [uq[-1] for uq in u[1:]])), den)))
             return
         a[d + 1][0] = p * u[d][0]
         for bit in (root >> d & 1,) if d < depth else (0, 1):
             visit(d + 1, mask | bit << d, -p if bit else p)
 
     visit(0, 0, 1)
+    del visit  # visit's closure holds visit: free the rows now, not at the next gc
     return out
 
 
-def _lattices(
-    orders: Sequence[int], keep: Keep, workers: int | None
-) -> Iterator[tuple[int, list[tuple[int, Fraction]]]]:
-    """Each order with its wanted leaves, sorted by mask.
-
-    One pool per call, of min(workers, cpu count) processes; orders below
-    max(4 * workers, POOL_MIN_MASKS) masks run here.  A job is a low-bit
-    subtree, two or more per process: a range of masks would make each job
-    redo the inner walk.
-    """
+def _lattice(n: int, keep: Keep, workers: int | None, low: int | None = None) -> list[Leaf]:
+    """The wanted leaves of orders low..n (low defaults to n), sorted, from one
+    walk: on min(workers, cpu count) processes if order n has max(4 * workers,
+    POOL_MIN_MASKS) masks, else here.  A job is a low-bit subtree, two or more
+    per process: a range of masks would make each job redo the inner walk."""
     workers = min(workers or 1, os.cpu_count() or 1)
-    pooled = [n for n in orders if workers > 1 and 1 << n >= max(4 * workers, POOL_MIN_MASKS)]
+    if workers < 2 or 1 << n < max(4 * workers, POOL_MIN_MASKS):
+        return sorted(_walk(n, 0, 0, keep, low))
     depth = (2 * workers - 1).bit_length()
-    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
-        for n in orders:
-            if n in pooled:
-                parts = pool.map(_walk, repeat(n), range(1 << depth), repeat(depth), repeat(keep))
-                yield n, sorted(leaf for leaves in parts for leaf in leaves)
-            else:
-                yield n, sorted(_walk(n, 0, 0, keep))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(_walk, repeat(n), range(1 << depth), repeat(depth), repeat(keep), repeat(low))
+        return sorted(leaf for leaves in parts for leaf in leaves)
 
 
 def _odd_plus(n: int, mask: int) -> bool:
@@ -177,12 +183,12 @@ def build_table(
         raise ValueError(f"order must be >= 1, got {n}")
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
-    [(_, leaves)] = _lattices([n], None if pruning == "none" else _pair_rep, workers)
+    leaves = _lattice(n, None if pruning == "none" else _pair_rep, workers)
     if pruning == "none":
-        return SignedCoefficientTable(n, [v for _, v in leaves])
+        return SignedCoefficientTable(n, [v for _, _, v in leaves])
     flip = (-1) ** (n - 1)
     values = [Fraction(0)] * (1 << n)
-    for rep, v in leaves:
+    for _, rep, v in leaves:
         values[_reverse_mask(n, rep)] = flip * v
         values[rep] = v
     return SignedCoefficientTable(n, values)
@@ -237,8 +243,10 @@ def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport
     if n_max < 1:
         raise ValueError(f"order must be >= 1, got {n_max}")
     reports = []
-    for n, leaves in _lattices(range(1, n_max + 1), _odd_plus, workers):
-        zeros = [mask for mask, value in leaves if not value]
+    # each order keeps its masks with a single +1, so groupby yields all of 1..n_max
+    for n, group in groupby(_lattice(n_max, _odd_plus, workers, low=1), itemgetter(0)):
+        leaves = list(group)
+        zeros = [mask for _, mask, value in leaves if not value]
         # zeros is sorted, so the all-plus mask 0 comes first when present
         structural = int(n > 1 and n % 2 == 1 and zeros[:1] == [0])
         unexpected = [_mask_signs(n, mask) for mask in zeros[structural:]]

@@ -13,7 +13,7 @@ from math import factorial, gcd, lcm
 
 from bchkit.multilinear import MultilinearPoly
 from bchkit.trimatrix import TriMatrix, mat_mul
-from bchkit.words import NCSeries
+from bchkit.words import NCSeries, Word
 
 
 def mat_add(a: TriMatrix, b: TriMatrix) -> TriMatrix:
@@ -135,3 +135,58 @@ def expand_commutators_reference(terms, alphabet) -> NCSeries:
         for u, c in expansion.items():
             acc[u] = acc.get(u, Fraction(0)) + term.coefficient * c
     return NCSeries(alphabet, degree, acc)
+
+
+def nc_mul_reference(a: NCSeries, b: NCSeries) -> NCSeries:
+    """Concatenation product on Fraction coefficients, one pair at a time.
+
+    Test-only reference for the oracle's integer product: every fitting
+    pair of words adds ca * cb to its concatenation, and a sum that
+    reaches zero is deleted on the spot.
+    """
+    a._compatible(b)
+    cap = a.max_degree
+    buckets: dict[int, list[tuple[Word, Fraction]]] = {}
+    for wb, cb in b.terms.items():
+        buckets.setdefault(len(wb), []).append((wb, cb))
+    out: dict[Word, Fraction] = {}
+    zero = Fraction(0)
+    for wa, ca in a.terms.items():
+        room = cap - len(wa)
+        for length, pairs in buckets.items():
+            if length > room:
+                continue
+            for wb, cb in pairs:
+                word = wa + wb
+                s = out.get(word, zero) + ca * cb
+                if s:
+                    out[word] = s
+                else:
+                    del out[word]
+    result = NCSeries(a.alphabet, cap)
+    result.terms = out
+    return result
+
+
+def nc_exp_reference(a: NCSeries) -> NCSeries:
+    """sum_k a^k / k! through nc_mul_reference, one Fraction sum per power."""
+    acc = power = NCSeries(a.alphabet, a.max_degree, {(): 1})
+    for k in range(1, a.max_degree + 1):
+        power = nc_mul_reference(power, a)
+        if not power.terms:
+            break
+        acc = acc + power.scaled(Fraction(1, factorial(k)))
+    return acc
+
+
+def nc_log_reference(a: NCSeries) -> NCSeries:
+    """-sum_q ((-1)^q / q) (a - 1)^q through nc_mul_reference."""
+    power = NCSeries(a.alphabet, a.max_degree, {(): 1})
+    u = a - power
+    acc = NCSeries(a.alphabet, a.max_degree)
+    for q in range(1, a.max_degree + 1):
+        power = nc_mul_reference(power, u)
+        if not power.terms:
+            break
+        acc = acc + power.scaled(Fraction((-1) ** (q + 1), q))
+    return acc

@@ -257,9 +257,15 @@ class TestVerify:
         assert "ok signed n=4" in out
 
     def test_explicit_mode_over_cap_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "12", "--modes", "oracle")
+        code, _, err = run(capsys, "verify", "13", "--modes", "oracle")
         assert code == 1
-        assert "n <= 10" in err
+        assert "n <= 12" in err
+
+    def test_oracle_cap_is_twelve(self, capsys):
+        code, out, _ = run(capsys, "verify", "12", "--modes", "oracle")
+        assert code == 0
+        assert "ok oracle n=12 (2044 words)" in out
+        assert "all checks passed" in out
 
     def test_signed_cap_is_fourteen(self, capsys):
         code, out, _ = run(capsys, "verify", "12", "--modes", "signed")

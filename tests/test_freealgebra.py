@@ -1,5 +1,6 @@
 """The brute-force free-algebra oracle."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from bchkit.freealgebra import (
 from bchkit.series import bch_term, bch_term_multi
 from bchkit.trimatrix import SeriesSpec
 from bchkit.words import Alphabet, NCSeries
+from helpers import nc_exp_reference, nc_log_reference, nc_mul_reference
 
 A2 = Alphabet.default(2)
 A3 = Alphabet.default(3)
@@ -75,6 +77,76 @@ def test_mul_associative_and_distributive(ca, cb, cc):
     a, b, c = tiny_series(ca), tiny_series(cb), tiny_series(cc)
     assert nc_mul(nc_mul(a, b), c) == nc_mul(a, nc_mul(b, c))
     assert nc_mul(a, b + c) == nc_mul(a, b) + nc_mul(a, c)
+
+
+class TestIntegerArithmetic:
+    """The fraction-free product and power sums against Fraction references."""
+
+    # mixed and coprime denominators; a zero numerator is a zero coefficient
+    DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 11, 12)
+
+    @staticmethod
+    @st.composite
+    def series(draw, cap=3, constant=None):
+        """(a, b): two random rational series over one alphabet of 2 or 3 letters."""
+        alphabet = draw(st.sampled_from([A2, A3]))
+        words = [w for k in range(cap + 1) for w in itertools.product(range(alphabet.size), repeat=k)]
+        coeff = st.builds(
+            Fraction, st.integers(-6, 6), st.sampled_from(TestIntegerArithmetic.DENOMINATORS)
+        )
+
+        def one():
+            terms = draw(st.dictionaries(st.sampled_from(words), coeff, max_size=8))
+            if constant is not None:
+                terms[()] = constant
+            return NCSeries(alphabet, cap, terms)
+
+        return one(), one()
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert got == expected
+        # no word stored with a zero coefficient, every coefficient a Fraction
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    @given(series())
+    def test_mul_matches_reference(self, pair):
+        a, b = pair
+        self.assert_same(nc_mul(a, b), nc_mul_reference(a, b))
+        self.assert_same(nc_mul(b, a), nc_mul_reference(b, a))
+
+    @given(series(constant=0))
+    def test_exp_matches_reference(self, pair):
+        for a in pair:
+            self.assert_same(nc_exp(a), nc_exp_reference(a))
+
+    @given(series(constant=1))
+    def test_log_matches_reference(self, pair):
+        for a in pair:
+            self.assert_same(nc_log(a), nc_log_reference(a))
+
+    @pytest.mark.parametrize("alphabet", [A2, A3])
+    def test_cancelled_word_is_absent(self, alphabet):
+        # (1/2 + x/3)(2 - 4x/3): the x terms cancel, 1/3 * 2 - 1/2 * 4/3 = 0
+        a = NCSeries(alphabet, 3, {(): Fraction(1, 2), (0,): Fraction(1, 3)})
+        b = NCSeries(alphabet, 3, {(): 2, (0,): Fraction(-4, 3)})
+        got = nc_mul(a, b)
+        assert got.terms == {(): 1, (0, 0): Fraction(-4, 9)}
+        self.assert_same(got, nc_mul_reference(a, b))
+        # log(exp(t)) = t: the power sum cancels every word longer than one letter
+        t = NCSeries(alphabet, 3, {(0,): Fraction(1, 2), (1,): Fraction(-3, 7)})
+        self.assert_same(nc_log(nc_exp(t)), t)
+        self.assert_same(nc_log(nc_exp(t)), nc_log_reference(nc_exp_reference(t)))
+
+    @pytest.mark.parametrize("alphabet", [A2, A3])
+    def test_zero_series(self, alphabet):
+        zero = NCSeries(alphabet, 3)
+        a = NCSeries(alphabet, 3, {(1,): Fraction(2, 3), (0, 1): 5})
+        assert nc_mul(zero, a).terms == {}
+        assert nc_mul(a, zero).terms == {}
+        assert nc_mul(zero, zero).terms == {}
+        assert nc_exp(zero).terms == {(): 1}
+        assert nc_log(NCSeries(alphabet, 3, {(): 1})).terms == {}
 
 
 class TestExpLog:

@@ -12,6 +12,7 @@ from bchkit.signedeval import (
     POOL_MIN_MASKS,
     SignedCoefficientTable,
     _mask_signs,
+    _odd_plus,
     _reverse_mask,
     _walk,
     build_table,
@@ -78,14 +79,14 @@ class TestWalk:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_mask_matches_the_reference(self, n):
-        expected = [(m, eval_assignment_reference(n, _mask_signs(n, m))) for m in range(1 << n)]
+        expected = [(n, m, eval_assignment_reference(n, _mask_signs(n, m))) for m in range(1 << n)]
         assert sorted(_walk(n, 0, 0)) == expected
 
     @pytest.mark.parametrize("n", [12, 13, 14])
     def test_sampled_masks_match_the_reference(self, n):
         sample = set(random.Random(n).sample(range(1 << n), 24)) | {0, (1 << n) - 1}
         got = _walk(n, 0, 0, lambda order, mask: mask in sample)
-        assert sorted(got) == [(m, eval_assignment_reference(n, _mask_signs(n, m))) for m in sorted(sample)]
+        assert sorted(got) == [(n, m, eval_assignment_reference(n, _mask_signs(n, m))) for m in sorted(sample)]
 
     @pytest.mark.parametrize("n", [1, 5, 9])
     def test_no_leaf_kept(self, n):
@@ -94,10 +95,10 @@ class TestWalk:
     @pytest.mark.parametrize("n", [1, 5, 9])
     def test_one_leaf(self, n):
         mask = random.Random(n).randrange(1 << n)
-        expected = [(mask, eval_assignment_reference(n, _mask_signs(n, mask)))]
+        expected = [(n, mask, eval_assignment_reference(n, _mask_signs(n, mask)))]
         assert _walk(n, 0, 0, lambda order, m: m == mask) == expected
         assert _walk(n, mask, n) == expected
-        assert eval_assignment(n, _mask_signs(n, mask)) == expected[0][1]
+        assert eval_assignment(n, _mask_signs(n, mask)) == expected[0][2]
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_subtrees_at_each_depth_partition_the_lattice(self, n):
@@ -105,7 +106,7 @@ class TestWalk:
         for depth in range(n + 1):
             parts = [_walk(n, root, depth) for root in range(1 << depth)]
             for root, part in enumerate(parts):
-                assert all(mask % (1 << depth) == root for mask, _ in part)
+                assert all(mask % (1 << depth) == root for _, mask, _ in part)
             assert sorted(leaf for part in parts for leaf in part) == whole
 
     def test_keep_sees_the_order_and_each_leaf_once(self):
@@ -117,6 +118,51 @@ class TestWalk:
 
         _walk(6, 0b10, 2, keep)
         assert sorted(seen) == [(6, m) for m in range(64) if m % 4 == 0b10]
+
+
+class TestLowerOrders:
+    """One walk from order low up to n against a separate walk per order."""
+
+    @staticmethod
+    def per_order(n_max, keep=None, low=1):
+        return [leaf for d in range(low, n_max + 1) for leaf in sorted(_walk(d, 0, 0, keep))]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_every_lower_order_leaf(self, n):
+        for low in range(1, n + 1):
+            assert sorted(_walk(n, 0, 0, None, low)) == self.per_order(n, None, low)
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_kept_lower_order_leaves(self, n):
+        assert sorted(_walk(n, 0, 0, _odd_plus, 1)) == self.per_order(n, _odd_plus)
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_subtrees_emit_each_order_and_mask_once(self, n):
+        # a prefix shorter than depth comes only from the subtree rooted at it
+        for depth in range(n + 1):
+            pairs = [(d, mask) for root in range(1 << depth) for d, mask, _ in _walk(n, root, depth, None, 1)]
+            assert len(pairs) == len(set(pairs))
+            assert sorted(pairs) == [(d, m) for d in range(1, n + 1) for m in range(1 << d)]
+
+
+def census(n_max):
+    """ScanReport fields built from a separate _walk per order."""
+    out = []
+    for d in range(1, n_max + 1):
+        leaves = sorted(_walk(d, 0, 0, _odd_plus))
+        zeros = [mask for _, mask, value in leaves if not value]
+        structural = int(d > 1 and d % 2 == 1 and 0 in zeros)
+        unexpected = [_mask_signs(d, m) for m in zeros if not (structural and m == 0)]
+        out.append(
+            {
+                "n": d,
+                "pruned_zero": (1 << d) - len(leaves),
+                "structural_zero": structural,
+                "nonzero": len(leaves) - len(zeros),
+                "unexpected": unexpected,
+            }
+        )
+    return out
 
 
 class TestSymmetries:
@@ -177,7 +223,7 @@ class TestBuildTable:
 
         def recording(*args):
             leaves = _walk(*args)
-            evaluated.extend(mask for mask, _ in leaves)
+            evaluated.extend(mask for _, mask, _ in leaves)
             return leaves
 
         monkeypatch.setattr(signedeval, "_walk", recording)
@@ -269,6 +315,10 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_nonvanishing(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_one_walk_matches_per_order_walks(self, n):
+        assert [vars(r) for r in scan_nonvanishing(n)] == census(n)
+
 
 class TestWorkerCap:
     """The pool is replaced by an in-process fake, so no process starts."""
@@ -325,11 +375,11 @@ class TestWorkerCap:
         [(_, [jobs])] = pools
         assert len(jobs) >= 2 * workers
         masks = []
-        for order, root, depth, keep in jobs:
-            assert (order, keep) == (n, None)
-            leaves = _walk(order, root, depth, keep)
-            assert all(mask % (1 << depth) == root for mask, _ in leaves)
-            masks += [mask for mask, _ in leaves]
+        for order, root, depth, keep, low in jobs:
+            assert (order, keep, low) == (n, None, None)
+            leaves = _walk(order, root, depth, keep, low)
+            assert all(mask % (1 << depth) == root for _, mask, _ in leaves)
+            masks += [mask for _, mask, _ in leaves]
         assert sorted(masks) == list(range(1 << n))
 
     @pytest.mark.parametrize("n,expected", [(11, []), (12, [2])])
@@ -346,6 +396,26 @@ class TestWorkerCap:
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
         got = scan_nonvanishing(8, workers=2)
         assert len(pools) == 1
-        # orders 3..8 reach 4 masks per worker; each maps its jobs on that pool
-        assert len(pools[0][1]) == 6
+        # one walk for every order: one map of at least 2 subtree jobs per worker
+        [jobs] = pools[0][1]
+        assert len(jobs) >= 2 * 2
         assert [vars(r) for r in got] == [vars(r) for r in scan_nonvanishing(8)]
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_pooled_scan_matches_per_order_walks(self, monkeypatch, pools, workers, n):
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 8)
+        assert [vars(r) for r in scan_nonvanishing(n, workers)] == census(n)
+        # 2**2 masks are below 4 per worker: no pool
+        assert len(pools) == (n > 2)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_pooled_jobs_emit_each_order_and_mask_once(self, monkeypatch, pools, workers):
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 8)
+        n = 9
+        scan_nonvanishing(n, workers)
+        [(_, [jobs])] = pools
+        assert len(jobs) >= 2 * workers
+        pairs = [(d, mask) for job in jobs for d, mask, _ in _walk(*job)]
+        assert len(pairs) == len(set(pairs))
+        assert sorted(pairs) == [(d, m) for d in range(1, n + 1) for m in range(1 << d) if _odd_plus(d, m)]
