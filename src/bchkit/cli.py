@@ -188,11 +188,11 @@ def _stats_report(stages: Stages, cache: str, words: int) -> str:
 
 
 def _first_diff(a: NCSeries, b: NCSeries) -> tuple[tuple[int, ...], Fraction, Fraction] | None:
-    for word in sorted(set(a.terms) | set(b.terms), key=lambda w: (len(w), w)):
-        ca, cb = a.coefficient(word), b.coefficient(word)
-        if ca != cb:
-            return word, ca, cb
-    return None
+    if a.terms == b.terms:  # every passing check: no per-word lookups
+        return None
+    diff = (w for w in a.terms.keys() | b.terms.keys() if a.coefficient(w) != b.coefficient(w))
+    word = min(diff, key=lambda w: (len(w), w))  # graded-lex; zero-free terms, so some word differs
+    return word, a.coefficient(word), b.coefficient(word)
 
 
 # Per-mode order caps: the oracle's cost grows like m**n and the signed

@@ -18,11 +18,12 @@ on integers over the table's common denominator.
 
 Entry d of every row of the log recurrence depends on s_1..s_d alone, and
 the leading (d+1) x (d+1) block of the order-n product is the order-d one.
-So one kernel, a depth-first walk over sign prefixes, fills entry d once
-per prefix, and its prefixes of length d are the order-d assignments: a
-scan of orders 1..n is one walk.  Tables and scans fan out over one pool of
-processes per call, one subtree per job; a prefix shorter than the jobs'
-depth comes only from the job whose root is that prefix.
+So one kernel fills entry d for every prefix of d signs at once, each a
+lane of one packed int indexed by its prefix products P_t, and these are
+the order-d assignments: a scan of orders 1..n is one run.  The top order
+splits into subtrees of at most 2**12 lanes, run here or on one pool of
+processes per call; a prefix shorter than the subtrees' depth comes only
+from the subtree rooted at it.
 """
 
 from __future__ import annotations
@@ -31,16 +32,19 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import groupby, repeat
 from math import comb, factorial, lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Sequence
 
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
 Keep = Callable[[int, int], bool] | None  # keep(order, mask); None keeps every leaf
-POOL_MIN_MASKS = 1 << 12  # below this many top-order masks, the walk costs less than a pool
+Leaf = tuple[int, int, Fraction]  # (order, mask, value)
+POOL_MIN_MASKS = 1 << 18  # below this many top-order masks, the kernel costs less than a pool
+SUBTREE_LANES = 1 << 12  # top-order lanes of one job: bounds its memory
 
 
 def _mask_signs(n: int, mask: int) -> SignAssignment:
@@ -63,7 +67,24 @@ def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
     return _walk(n, mask, n)[0][2]
 
 
-Leaf = tuple[int, int, Fraction]  # (order, mask, value)
+@cache
+def _lane_width(n: int) -> int:
+    """Lane bits that provably hold every lane ``_walk`` splits or reads.
+
+    Entry by entry |F D F D - I| <= F F - I and |F D| <= F, so by induction
+    on q every assignment has |u_q| <= u+_q and |a_q| <= a+_q, the rows of
+    the all-plus run.  ``_walk`` splits (C u_{q-1})[d], at most a+_q[d], and
+    (C a_q)[d], at most u+_q[d] + u+_{q-1}[d] <= sum_q (L/q) u+_q[d], which
+    also bounds a leaf's numerator.  The largest bound plus a sign bit,
+    rounded up to whole bytes, keeps every lane within +-2**(W-1).
+    """
+    u, bound = [[1] + [0] * n], 0
+    for q in range(1, n + 2):
+        a = [sum(comb(d, j) * x for j, x in enumerate(u[-1][: d + 1])) for d in range(n + 1)]
+        u.append([sum(comb(d, j) * x for j, x in enumerate(a[: d + 1])) - u[-1][d] for d in range(n + 1)])
+        bound = max(bound, *a)
+    leaves = (sum(lcm(*range(1, d + 1)) // q * u[q][d] for q in range(1, d + 1)) for d in range(n + 1))
+    return (max(bound, *leaves).bit_length() + 8) // 8 * 8
 
 
 def _walk(n: int, root: int, depth: int, keep: Keep = None, low: int | None = None) -> list[Leaf]:
@@ -75,70 +96,73 @@ def _walk(n: int, root: int, depth: int, keep: Keep = None, low: int | None = No
     F D F D; scaling column j by j! turns F into the Pascal matrix C, so
     u_q = u_{q-1} (F D F D - I) from u_0 = e_0 runs on ints as
     a_q = P (C u_{q-1}), u_q = P (C a_q) - u_{q-1} (P entrywise).  Entry d
-    of both depends on s_1..s_d alone: fixing s_d fills it once for the
-    subtree below.  The leading (d+1) x (d+1) block of the order-n product
-    is the order-d product, so once entry d is filled the prefix is a leaf
-    of order d, with value sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!) and
-    L = lcm(1..d).  A prefix shorter than ``depth`` lies in several subtrees;
-    only the one rooted at it (root >> d == 0) emits it, so the subtrees of
-    one depth emit each leaf once.  Memory beyond the leaves is O(n**3) ints.
+    of both depends on s_1..s_d alone, so level d fills it for every prefix
+    of d signs at once, one W-bit lane each (W from ``_lane_width``).  Lane
+    bit t - depth - 1 is [P_t = -1], so P_d = -1 on the upper half of level
+    d's lanes and P_d S = 2 low_half(S) - S, one offset and mask.  Entry j
+    keeps its 2**(j - depth) lanes; a dot product with row d of C
+    broadcasts them Horner-style (acc += acc << W lanes).  The order-d
+    product is the leading block of the order-n one, so level d yields the
+    order-d leaves, valued sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!) with
+    L = lcm(1..d).  A prefix shorter than ``depth`` lies in several
+    subtrees; only the one rooted at it (root >> d == 0) emits it.
     """
-    # Its own first-row log, not log_upper_right: a bug shared with the
-    # symbolic kernel would then make verify --modes signed pass while wrong.
-    # tails[p][d][k] = p * [C(d, k), ..., C(d, d)], row d of P_d C from k on
+    # its own first-row log: a bug shared with the symbolic kernel would pass verify --modes signed
     low = n if low is None else low
-    rows = [[[comb(d, j) for j in range(k, d + 1)] for k in range(d + 1)] for d in range(n + 1)]
-    tails = {1: rows, -1: [[[-c for c in tail] for tail in row] for row in rows]}
-    weights, dens = {}, {}
-    for d in range(low, n + 1):
-        big = lcm(*range(1, d + 1))
-        weights[d] = [(-1) ** (q + 1) * (big // q) for q in range(1, d + 1)]
-        dens[d] = big * factorial(d)
-    # Along the current prefix u[q][j - q] is entry j of u_q and a[q][j - q + 1]
-    # entry j of a_q (lower entries are zero); past entry d the lists hold stale
-    # values of earlier prefixes, which map never reaches: tails[p][d][k] ends.
-    u = [[1] + [0] * n] + [[0] * (n + 1 - q) for q in range(1, n + 1)]
-    a = [[]] + [[0] * (n + 2 - q) for q in range(1, n + 1)]
+    width = _lane_width(n)
+    size, half = width // 8, 1 << width - 1
+
+    def offset(lanes: int) -> int:  # half in each lane: every lane a nonnegative digit
+        return int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
+
+    def times_p(s: int) -> int:  # P_d s: P_d = +1 on the lanes of low_half
+        return 2 * ((s + bias & low_half) - bias) - s
+
+    def dot(x: list[int], lo: int) -> int:  # (C x)[d] on level d's lanes; x[j] = 0 below lo
+        acc = sum(comb(d, j) * x[j] for j in range(lo, min(d, depth) + 1))  # one-lane entries
+        for j in range(max(lo, depth + 1), d + 1):
+            acc += (acc << (width << j - 1 - depth)) + comb(d, j) * x[j]
+        return acc
+
+    froot = sum(((root & (2 << t) - 1).bit_count() & 1) << t for t in range(depth))  # P bits
+    # u[q][j] and a[q][j]: entry j of u_q and a_q, on level j's lanes
+    u = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    a = [[0] * (n + 1) for _ in range(n + 2)]
     out = []
-
-    def visit(d: int, mask: int, p: int) -> None:
-        # mask fixes s_1..s_d and p = P_d: fill entry d of each row, emit the
-        # order-d leaf if wanted, then recurse
-        emit = d >= low and root >> d == 0 and (keep is None or keep(d, mask))
-        if d == n and not emit:
-            return
-        tail = tails[p][d]
+    for d in range(n + 1):
+        plus = 1 << d - 1 - depth if d > depth else 0  # lanes of P_d = +1; none: one lane
+        bias, low_half = offset(plus), (1 << width * plus) - 1 if plus else (froot << 1 >> d & 1) - 1
         for q in range(1, d + 1):
-            lo = q - 1
-            aq = a[q]
-            aq[d - lo] = sum(map(mul, tail[lo], u[lo]))
-            u[q][d - q] = sum(map(mul, tail[lo], aq)) - u[lo][d - lo]
-        if emit:
-            entries = [u[q][d - q] for q in range(1, d + 1)]
-            out.append((d, mask, Fraction(sum(map(mul, weights[d], entries)), dens[d])))
-        if d == n:
-            return
-        a[d + 1][0] = p * u[d][0]
-        for bit in (root >> d & 1,) if d < depth else (0, 1):
-            visit(d + 1, mask | bit << d, -p if bit else p)
-
-    visit(0, 0, 1)
-    del visit  # visit's closure holds visit: free the rows now, not at the next gc
+            a[q][d] = times_p(dot(u[q - 1], q - 1))
+            u[q][d] = times_p(dot(a[q], q - 1)) - u[q - 1][d]
+        a[d + 1][d] = times_p(u[d][d])
+        if d < low or root >> d:
+            continue
+        big, top, lanes = lcm(*range(1, d + 1)), (1 << d) - 1, 1 << max(d - depth, 0)
+        value = sum((-1) ** (q + 1) * (big // q) * u[q][d] for q in range(1, d + 1))
+        data = (value + offset(lanes)).to_bytes(size * lanes, "little")
+        masks = [(f ^ f << 1) & top for f in range(froot & top, top + 1, 1 << depth)]
+        den = big * factorial(d)
+        kept = [i for i, mask in enumerate(masks) if keep is None or keep(d, mask)]
+        nums = [int.from_bytes(data[i * size : (i + 1) * size], "little") - half for i in kept]
+        out += [(d, masks[i], Fraction(v, den)) for i, v in zip(kept, nums)]
     return out
 
 
 def _lattice(n: int, keep: Keep, workers: int | None, low: int | None = None) -> list[Leaf]:
-    """The wanted leaves of orders low..n (low defaults to n), sorted, from one
-    walk: on min(workers, cpu count) processes if order n has max(4 * workers,
-    POOL_MIN_MASKS) masks, else here.  A job is a low-bit subtree, two or more
-    per process: a range of masks would make each job redo the inner walk."""
+    """The wanted leaves of orders low..n (low defaults to n), sorted.  Order
+    n runs as low-bit subtrees of at most SUBTREE_LANES masks, so memory is
+    bounded whatever n is: on min(workers, cpu count) processes, two or more
+    subtrees each, if it has max(4 * workers, POOL_MIN_MASKS) masks, else
+    here.  Mask ranges in place of subtrees would redo the shared prefixes."""
     workers = min(workers or 1, os.cpu_count() or 1)
-    if workers < 2 or 1 << n < max(4 * workers, POOL_MIN_MASKS):
-        return sorted(_walk(n, 0, 0, keep, low))
-    depth = (2 * workers - 1).bit_length()
+    pooled = workers > 1 and 1 << n >= max(4 * workers, POOL_MIN_MASKS)
+    depth = max(n + 1 - SUBTREE_LANES.bit_length(), (2 * workers - 1).bit_length() if pooled else 0)
+    jobs = (repeat(n), range(1 << depth), repeat(depth), repeat(keep), repeat(low))
+    if not pooled:
+        return sorted(leaf for leaves in map(_walk, *jobs) for leaf in leaves)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_walk, repeat(n), range(1 << depth), repeat(depth), repeat(keep), repeat(low))
-        return sorted(leaf for leaves in parts for leaf in leaves)
+        return sorted(leaf for leaves in pool.map(_walk, *jobs) for leaf in leaves)
 
 
 def _odd_plus(n: int, mask: int) -> bool:

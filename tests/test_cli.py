@@ -4,12 +4,14 @@ import errno
 import hashlib
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bchkit import cli, output, series
 from bchkit.cli import main
+from bchkit.words import NCSeries
 
 
 @pytest.fixture(autouse=True)
@@ -274,6 +276,33 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "15", "--modes", "signed")
         assert (code, out) == (1, "")
         assert "n <= 14" in err
+
+    @pytest.mark.parametrize("changed", [["xyyx"], ["yxxy", "xxyy"], ["yyyy", "xyxy", "yxxx"]])
+    def test_mismatch_names_the_first_differing_word(self, capsys, monkeypatch, changed):
+        # the signed route returns z_4 with each changed word's coefficient
+        # raised by 1/7: verify stops there with exit 2 and names the first of
+        # them in graded-lex order, whatever order they were changed in
+        reconstruct = cli.reconstruct_term
+
+        def perturbed(n, table):
+            z = reconstruct(n, table)
+            if n != 4:
+                return z
+            terms = dict(z.terms)
+            for name in changed:
+                word = z.alphabet.parse_word(name)
+                terms[word] = z.coefficient(word) + Fraction(1, 7)
+            return NCSeries(z.alphabet, n, terms)
+
+        monkeypatch.setattr(cli, "reconstruct_term", perturbed)
+        code, out, _ = run(capsys, "verify", "6", "--modes", "signed")
+        first = min(changed)
+        expected = series.bch_term(4).coefficient(tuple("xy".index(c) for c in first))
+        assert code == 2
+        assert out.splitlines()[3:] == [
+            f"FAIL signed n=4: word {first}: pipeline {expected}, reference {expected + Fraction(1, 7)}"
+        ]
+        assert out.splitlines()[:3] == [f"ok signed n={n} ({len(series.bch_term(n).terms)} words)" for n in (1, 2, 3)]
 
     def test_dynkin_cap_is_eighteen(self, capsys):
         code, out, _ = run(capsys, "verify", "14", "--modes", "dynkin")

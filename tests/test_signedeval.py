@@ -1,7 +1,10 @@
 """The +-1 lattice: evaluation, tables, reconstruction, scanning."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,6 +121,58 @@ class TestWalk:
 
         _walk(6, 0b10, 2, keep)
         assert sorted(seen) == [(6, m) for m in range(64) if m % 4 == 0b10]
+
+
+class TestKernel:
+    """The packed breadth-first kernel: its lane width, the parity zeros, the
+    subtree cap and the memory of a large scan."""
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_width_is_needed(self, monkeypatch, n):
+        # three bytes fewer per lane corrupts some leaf; the leaf-value term of
+        # the proof leaves the width 16 to 23 bits above the narrowest that works
+        exact = sorted(_walk(n, 0, 0))
+        width = signedeval._lane_width(n)
+        monkeypatch.setattr(signedeval, "_lane_width", lambda order: width - 24)
+        wrong = [leaf for leaf, good in zip(sorted(_walk(n, 0, 0)), exact) if leaf != good]
+        assert wrong
+        _, mask, value = wrong[0]
+        assert value != eval_assignment_reference(n, _mask_signs(n, mask))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_even_plus_leaves_vanish(self, n):
+        leaves = _walk(n, 0, 0, None, 1)
+        assert len(leaves) == (2 << n) - 2
+        assert all(value == 0 for d, mask, value in leaves if (d - mask.bit_count()) % 2 == 0)
+
+    def test_subtree_cap(self, monkeypatch):
+        monkeypatch.setattr(signedeval, "SUBTREE_LANES", 1 << 30)
+        whole = [vars(r) for r in scan_nonvanishing(13)], build_table(12, "symmetry").values
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _walk(*args)
+
+        monkeypatch.setattr(signedeval, "SUBTREE_LANES", 1 << 4)
+        monkeypatch.setattr(signedeval, "_walk", recording)
+        assert ([vars(r) for r in scan_nonvanishing(13)], build_table(12, "symmetry").values) == whole
+        # 2**9 subtrees of 2**4 top-order masks for order 13, 2**8 for order 12
+        assert sorted({(n, depth) for n, _, depth, _, _ in calls}) == [(12, 8), (13, 9)]
+        assert len(calls) == (1 << 9) + (1 << 8)
+
+    def test_scan_17_memory(self):
+        # the scan runs as a grandchild, so the child's RUSAGE_CHILDREN sees it alone
+        probe = (
+            "import resource, subprocess, sys; "
+            "code = subprocess.run([sys.executable, '-m', 'bchkit', 'scan', '17'], stdout=subprocess.DEVNULL).returncode; "
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        code, peak_kb = map(int, out.stdout.split())
+        assert code == 0
+        assert peak_kb < 120 * 1024
 
 
 class TestLowerOrders:
@@ -311,6 +366,13 @@ class TestScan:
             for r in parallel
         ]
 
+    def test_real_pool_matches_serial(self, monkeypatch):
+        # tier-1 scans run below the floor or on the fake pool: this one pools for real
+        monkeypatch.setattr(signedeval, "POOL_MIN_MASKS", 1)
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
+        assert [vars(r) for r in scan_nonvanishing(10, workers=2)] == census(10)
+        assert build_table(9, "symmetry", workers=2).values == build_table(9).values
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             scan_nonvanishing(0)
@@ -382,9 +444,9 @@ class TestWorkerCap:
             masks += [mask for _, mask, _ in leaves]
         assert sorted(masks) == list(range(1 << n))
 
-    @pytest.mark.parametrize("n,expected", [(11, []), (12, [2])])
+    @pytest.mark.parametrize("n,expected", [(17, []), (18, [2])])
     def test_pool_floor(self, monkeypatch, pools, n, expected):
-        # the real floor: scan 11 --workers 2 stays serial, 2**12 masks pool
+        # the real floor: scan 17 --workers 2 stays serial, 2**18 masks pool
         monkeypatch.setattr(signedeval, "POOL_MIN_MASKS", POOL_MIN_MASKS)
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
         got = scan_nonvanishing(n, workers=2)
