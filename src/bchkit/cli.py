@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: term (compute one order), verify (cross-check the independent
-routes), scan (nonvanishing census of the sign lattice), bench (timing).
+routes, each run once at its top order), scan (nonvanishing census of the
+sign lattice), bench (timing).
 Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 invalid arguments (including orders over the series.MAX_WORDS
 size limit), 2 verification mismatch, 3 I/O failure.
@@ -11,16 +12,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import statistics
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .dynkin import dynkin_substitute, expand_commutators
-from .freealgebra import oracle_bch
+from .freealgebra import oracle_bch, oracle_log  # oracle_bch: perfbench/tracing.py wraps it
 from .output import (
     CACHE_ENV_VAR,
     RENDERERS,
@@ -30,7 +30,7 @@ from .output import (
     cache_store,
 )
 from .series import Stages, bch_term, bch_term_multi, check_order, lex_lanes, term_uncached
-from .signedeval import build_table, reconstruct_term, scan_nonvanishing
+from .signedeval import build_table, build_tables, reconstruct_term, scan_nonvanishing
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries
 
@@ -201,18 +201,20 @@ VERIFY_MODES = ("oracle", "multi", "signed", "dynkin")
 VERIFY_CAPS = {"oracle": 12, "multi": 6, "signed": 14, "dynkin": 18}
 
 
-def _verify_pair(mode: str, n: int) -> tuple[NCSeries, NCSeries, Alphabet]:
-    exp = SeriesSpec.exponential(n)
-    if mode == "oracle":
-        return bch_term(n), oracle_bch(n, 2, [exp, exp]), Alphabet.default(2)
-    if mode == "multi":
-        return bch_term_multi(n, 3), oracle_bch(n, 3, [exp] * 3), Alphabet.default(3)
-    if mode == "signed":
-        table = build_table(n, "symmetry")
-        return bch_term(n), reconstruct_term(n, table), Alphabet.default(2)
-    alphabet = Alphabet.default(2)
-    z = bch_term(n)
-    return z, expand_commutators(dynkin_substitute(z), alphabet), alphabet
+def _verify_pairs(mode: str, limit: int) -> Iterator[tuple[NCSeries, NCSeries]]:
+    """(pipeline, reference) for orders 1..limit.  Each reference route but
+    dynkin runs once, at limit: the oracle's log truncated there holds every
+    lower order, and one lattice walk yields the tables of orders 1..limit."""
+    if mode in ("oracle", "multi"):
+        m = 2 if mode == "oracle" else 3
+        log = oracle_log(limit, m, [SeriesSpec.exponential(limit)] * m)
+        yield from ((bch_term_multi(n, m), log.homogeneous_slice(n)) for n in range(1, limit + 1))
+    elif mode == "signed":
+        tables = build_tables(limit, "symmetry", low=1)
+        yield from ((bch_term(t.n), reconstruct_term(t.n, t)) for t in tables)
+    else:
+        for z in map(bch_term, range(1, limit + 1)):
+            yield z, expand_commutators(dynkin_substitute(z), z.alphabet)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -238,13 +240,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         limit = min(args.n_max, VERIFY_CAPS[mode])
         if limit < args.n_max:
             print(f"note: {mode} capped at n={limit}", file=sys.stderr)
-        for n in range(1, limit + 1):
-            ours, reference, alphabet = _verify_pair(mode, n)
+        for n, (ours, reference) in enumerate(_verify_pairs(mode, limit), 1):
             diff = _first_diff(ours, reference)
             if diff is not None:
                 word, ca, cb = diff
                 print(
-                    f"FAIL {mode} n={n}: word {alphabet.word_str(word)}: "
+                    f"FAIL {mode} n={n}: word {ours.alphabet.word_str(word)}: "
                     f"pipeline {ca}, reference {cb}"
                 )
                 return 2
@@ -293,6 +294,7 @@ def _parse_range(raw: str) -> tuple[int, int]:
 
 
 def _median_seconds(fn: Callable[[], object], repeat: int) -> float:
+    import statistics  # only bench needs it: not imported on every run
     samples = []
     for _ in range(repeat):
         start = time.perf_counter()

@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -122,8 +123,11 @@ class OutputDocument:
         return body
 
     def to_json_text(self) -> str:
-        """The document as printed by ``--format json``: indent=2, one value per line."""
-        return json.dumps(self._body(), indent=2) + "\n"
+        """``--format json``: json.dumps(body, indent=2) and a newline, byte for
+        byte, written with fixed indents because that encoder is pure Python."""
+        fields = [f"  {_quote(key)}: " + (_json_list(value) if isinstance(value, list) else json.dumps(value))
+                  for key, value in self._body().items()]
+        return "{\n" + ",\n".join(fields) + "\n}\n"
 
     def to_cache_text(self) -> str:
         """The document as stored in the cache: compact, so the C encoder writes it."""
@@ -152,6 +156,16 @@ class OutputDocument:
             terms=_checked_rows(body["terms"]),
             dynkin=None if dynkin is None else _checked_rows(dynkin),
         )
+
+
+def _json_list(items: list) -> str:
+    """A list of strings or string rows as indent=2 JSON at the document's second level."""
+    if not items:
+        return "[]"
+    if isinstance(items[0], str):
+        return "[\n    " + ",\n    ".join(map(_quote, items)) + "\n  ]"
+    rows = ("    [\n      " + ",\n      ".join(map(_quote, row)) + "\n    ]" for row in items)
+    return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
 def _text_lines(rows: Sequence[TermRow]) -> list[str]:

@@ -20,16 +20,15 @@ Entry d of every row of the log recurrence depends on s_1..s_d alone, and
 the leading (d+1) x (d+1) block of the order-n product is the order-d one.
 So one kernel fills entry d for every prefix of d signs at once, each a
 lane of one packed int indexed by its prefix products P_t, and these are
-the order-d assignments: a scan of orders 1..n is one run.  The top order
-splits into subtrees of at most 2**12 lanes, run here or on one pool of
-processes per call; a prefix shorter than the subtrees' depth comes only
-from the subtree rooted at it.
+the order-d assignments: a scan of orders 1..n is one run, as are the
+tables verify reconstructs.  The top order splits into subtrees of at most
+2**12 lanes, run here or on one pool of processes per call; a prefix
+shorter than the subtrees' depth comes only from the subtree rooted at it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -161,6 +160,7 @@ def _lattice(n: int, keep: Keep, workers: int | None, low: int | None = None) ->
     jobs = (repeat(n), range(1 << depth), repeat(depth), repeat(keep), repeat(low))
     if not pooled:
         return sorted(leaf for leaves in map(_walk, *jobs) for leaf in leaves)
+    from concurrent.futures import ProcessPoolExecutor  # here: it pulls in multiprocessing
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sorted(leaf for leaves in pool.map(_walk, *jobs) for leaf in leaves)
 
@@ -193,10 +193,9 @@ class SignedCoefficientTable:
 PRUNING_MODES = ("none", "symmetry")
 
 
-def build_table(
-    n: int, pruning: str = "none", workers: int | None = None
-) -> SignedCoefficientTable:
-    """Evaluate the sign lattice.
+def build_tables(n: int, pruning: str = "none", workers: int | None = None,
+                 low: int | None = None) -> list[SignedCoefficientTable]:
+    """Evaluate the sign lattice of orders low..n (low defaults to n) in one walk.
 
     pruning="none" evaluates every assignment directly.
     pruning="symmetry" records even-plus-count assignments as zero without
@@ -207,15 +206,24 @@ def build_table(
         raise ValueError(f"order must be >= 1, got {n}")
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
-    leaves = _lattice(n, None if pruning == "none" else _pair_rep, workers)
-    if pruning == "none":
-        return SignedCoefficientTable(n, [v for _, _, v in leaves])
-    flip = (-1) ** (n - 1)
-    values = [Fraction(0)] * (1 << n)
-    for _, rep, v in leaves:
-        values[_reverse_mask(n, rep)] = flip * v
-        values[rep] = v
-    return SignedCoefficientTable(n, values)
+    if low is not None and not 1 <= low <= n:
+        raise ValueError(f"lowest order must be in 1..{n}, got {low}")
+    keep = None if pruning == "none" else _pair_rep
+    tables = []
+    # every order keeps at least one mask, so groupby yields each of low..n
+    for d, leaves in groupby(_lattice(n, keep, workers, low), itemgetter(0)):
+        values = [Fraction(0)] * (1 << d)
+        for _, mask, v in leaves:
+            if keep:
+                values[_reverse_mask(d, mask)] = (-1) ** (d - 1) * v
+            values[mask] = v
+        tables.append(SignedCoefficientTable(d, values))
+    return tables
+
+
+def build_table(n: int, pruning: str = "none", workers: int | None = None) -> SignedCoefficientTable:
+    """The order-n table: the one-order case of ``build_tables``."""
+    return build_tables(n, pruning, workers)[0]
 
 
 def reconstruct_term(

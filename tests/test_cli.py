@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bchkit import cli, output, series
+from bchkit import cli, output, series, signedeval
 from bchkit.cli import main
 from bchkit.words import NCSeries
 
@@ -303,6 +303,25 @@ class TestVerify:
             f"FAIL signed n=4: word {first}: pipeline {expected}, reference {expected + Fraction(1, 7)}"
         ]
         assert out.splitlines()[:3] == [f"ok signed n={n} ({len(series.bch_term(n).terms)} words)" for n in (1, 2, 3)]
+
+    def test_each_route_runs_once_at_its_top_order(self, capsys, monkeypatch):
+        # every order is a slice of one oracle log per oracle mode and one
+        # lattice walk for signed, each at the mode's capped limit
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args[0]))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "oracle_log", counting("oracle_log", cli.oracle_log))
+        monkeypatch.setattr(signedeval, "_lattice", counting("_lattice", signedeval._lattice))
+        code, out, _ = run(capsys, "verify", "9")
+        assert code == 0
+        assert calls == [("oracle_log", 9), ("oracle_log", 6), ("_lattice", 9)]
+        assert out.count("ok ") == 9 + 6 + 9 + 9
 
     def test_dynkin_cap_is_eighteen(self, capsys):
         code, out, _ = run(capsys, "verify", "14", "--modes", "dynkin")

@@ -1,6 +1,7 @@
 """The brute-force free-algebra oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from bchkit.freealgebra import (
     nc_log,
     nc_mul,
     oracle_bch,
+    oracle_log,
     series_at_letter,
 )
 from bchkit.series import bch_term, bch_term_multi
@@ -259,3 +261,45 @@ class TestOracleBch:
     def test_agrees_with_matrix_pipeline_three_factors(self, n):
         exp = SeriesSpec.exponential(n)
         assert oracle_bch(n, 3, [exp] * 3) == bch_term_multi(n, 3)
+
+
+def seeded_specs(m, top):
+    # per factor: c_1..c_top each zero, one, or a rational of either sign
+    rng = random.Random(10 * m + top)
+
+    def coeff():
+        return rng.choice((0, 1, Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+
+    return [SeriesSpec.from_coeffs([1] + [coeff() for _ in range(top)]) for _ in range(m)]
+
+
+class TestOracleLog:
+    """The log truncated at N holds every lower order: oracle_bch is its slice."""
+
+    @pytest.mark.parametrize(
+        "m,top,specs",
+        [
+            (2, 10, [SeriesSpec.exponential(10)] * 2),
+            (3, 6, [SeriesSpec.exponential(6)] * 3),
+            (2, 7, seeded_specs(2, 7)),
+            (3, 5, seeded_specs(3, 5)),
+        ],
+        ids=["exp-m2", "exp-m3", "random-m2", "random-m3"],
+    )
+    def test_every_order_is_a_slice_of_the_top_run(self, m, top, specs):
+        log = oracle_log(top, m, specs)
+        assert log.max_degree == top
+        assert {len(w) for w in log.terms} <= set(range(1, top + 1))
+        for n in range(1, top + 1):
+            assert log.homogeneous_slice(n) == oracle_bch(n, m, specs), f"n={n}"
+
+    def test_argument_validation(self):
+        exp = SeriesSpec.exponential(2)
+        with pytest.raises(ValueError, match="order"):
+            oracle_log(0, 2, [exp, exp])
+        with pytest.raises(ValueError, match="factor count"):
+            oracle_log(2, 1, [exp])
+        with pytest.raises(ValueError, match="expected 3 series"):
+            oracle_log(2, 3, [exp, exp])
+        with pytest.raises(ValueError, match="letters"):
+            oracle_log(2, 2, [exp, exp], A3)

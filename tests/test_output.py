@@ -128,6 +128,37 @@ def test_rows_from_lanes_match_rows_from_series(specs, n, route):
         assert lex.terms == rows
 
 
+def escaping_doc():
+    """Letters the JSON encoder escapes: a quote, a backslash, non-ASCII."""
+    alphabet = Alphabet.from_names(['"', "\\", "é"])
+    nums = [0, 1, -1, -1, 0, 3, 1, -3, 0]
+    return OutputDocument.from_lex(__version__, "term", 2, ("exp", "1,1/2", "exp"), alphabet, 2, nums)
+
+
+class TestJsonWriter:
+    """The direct --format json writer against the indent=2 encoder."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            make_doc(1),
+            make_doc(6),
+            make_doc(4, with_dynkin=True),
+            OutputDocument(__version__, "term", 2, 2, ("x", "y"), ("1", "1"), []),
+            OutputDocument(__version__, "term", 2, 2, ("x", "y"), ("1", "1"), [], []),
+            escaping_doc(),
+        ],
+        ids=["z1", "z6", "z4-dynkin", "empty-terms", "empty-dynkin", "escaped-letters"],
+    )
+    def test_bytes_equal_the_encoder(self, doc):
+        assert doc.to_json_text() == json.dumps(doc._body(), indent=2) + "\n"
+
+    def test_escaped_letters_round_trip(self):
+        doc = escaping_doc()
+        assert '"\\"\\u00e9"' in doc.to_json_text()  # the word of letters 0 and 2
+        assert OutputDocument.from_json_text(doc.to_json_text()) == doc
+
+
 class TestRenderings:
     def test_text_lines(self):
         text = render_text(make_doc(2))

@@ -1,5 +1,7 @@
 """The +-1 lattice: evaluation, tables, reconstruction, scanning."""
 
+import concurrent.futures
+import functools
 import itertools
 import os
 import random
@@ -13,12 +15,14 @@ from bchkit import signedeval
 from bchkit.series import bch_term
 from bchkit.signedeval import (
     POOL_MIN_MASKS,
+    PRUNING_MODES,
     SignedCoefficientTable,
     _mask_signs,
     _odd_plus,
     _reverse_mask,
     _walk,
     build_table,
+    build_tables,
     eval_assignment,
     reconstruct_term,
     scan_nonvanishing,
@@ -246,6 +250,11 @@ class TestSymmetries:
             assert eval_assignment(n, signs) == sign * eval_assignment(n, signs[::-1])
 
 
+@functools.cache
+def tables_per_order(pruning, n_max=12):
+    return [build_table(n, pruning) for n in range(1, n_max + 1)]
+
+
 class TestBuildTable:
     def test_n2_census(self):
         table = build_table(2)
@@ -254,6 +263,17 @@ class TestBuildTable:
         assert table.values[0b10] == -1
         assert table.values[0b00] == 0
         assert table.values[0b11] == 0
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_tables_of_every_order_from_one_walk(self, pruning, n):
+        assert build_tables(n, pruning, low=1) == tables_per_order(pruning)[:n]
+        assert build_tables(n, pruning) == [build_table(n, pruning)]
+
+    def test_lowest_order_validation(self):
+        for low in (0, 5):
+            with pytest.raises(ValueError, match="lowest order"):
+                build_tables(4, low=low)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pruned_equals_unpruned(self, n):
@@ -406,7 +426,8 @@ class TestWorkerCap:
                 self.maps.append(jobs)
                 return [fn(*job) for job in jobs]
 
-        monkeypatch.setattr(signedeval, "ProcessPoolExecutor", RecordingPool)
+        # _lattice imports the pool class when it pools, so the fake replaces it at its source
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # the rows below test the 4 * workers rule alone; test_pool_floor the floor
         monkeypatch.setattr(signedeval, "POOL_MIN_MASKS", 1)
         return pools
@@ -453,6 +474,14 @@ class TestWorkerCap:
         assert [size for size, _ in pools] == expected
         assert all(len(maps) == 1 for _, maps in pools)
         assert [vars(r) for r in got] == [vars(r) for r in scan_nonvanishing(n)]
+
+    @pytest.mark.parametrize("pruning", PRUNING_MODES)
+    @pytest.mark.parametrize("n", range(3, 13))  # 2**2 masks are below 4 per worker
+    def test_tables_of_every_order_on_the_fake_pool(self, monkeypatch, pools, pruning, n):
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
+        assert build_tables(n, pruning, 2, low=1) == tables_per_order(pruning)[:n]
+        # one pool and one map for every order
+        assert [len(maps) for _, maps in pools] == [1]
 
     def test_scan_opens_one_pool(self, monkeypatch, pools):
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
