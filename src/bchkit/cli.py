@@ -109,12 +109,20 @@ def _parse_letters(raw: str | None, m: int) -> Alphabet:
     return Alphabet.from_names(names)
 
 
+MAX_EXPONENT = 4300  # Python's int-string limit, which the series fingerprint hits anyway
+
+
 def _parse_one_series(raw: str, n: int) -> tuple[str, SeriesSpec]:
     text = raw.strip()
     if text == "exp":
         return "exp", SeriesSpec.exponential(n)
+    coeffs = [part.strip() for part in text.split(",")]
     try:
-        spec = SeriesSpec.from_coeffs(part.strip() for part in text.split(","))
+        for coeff in coeffs:  # Fraction builds 10**exponent before anything checks it
+            exponent = coeff.lower().partition("e")[2]
+            if exponent.lstrip("+-").replace("_", "").isdigit() and abs(int(exponent)) > MAX_EXPONENT:
+                raise ValueError(f"exponent {exponent} is over {MAX_EXPONENT} in magnitude")
+        spec = SeriesSpec.from_coeffs(coeffs)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad series {raw!r}: {exc}")
     return spec.fingerprint(), spec
@@ -144,14 +152,14 @@ def cmd_term(args: argparse.Namespace) -> int:
     check_order(args.n, args.factors)
     alphabet = _parse_letters(args.letters, args.factors)
     series_names, specs = _parse_series(args.series, args.factors, args.n)
-    key = cache_key(__version__, "term", args.n, alphabet.letters, series_names, args.dynkin)
+    key = cache_key(__version__, "term", args.n, alphabet.letters, series_names, args.dynkin, args.format)
     stages = Stages()
-    doc = None
+    entry = None
     if not args.no_cache:
-        doc = cache_load(key)
+        entry = cache_load(key)
         stages.lap("cache load")
-    cache = "off" if args.no_cache else "miss" if doc is None else "hit"
-    if doc is None:
+    cache = "off" if args.no_cache else "miss" if entry is None else "hit"
+    if entry is None:
         den, nums = lex_lanes(args.n, specs, stages)
         brackets = None
         if args.dynkin:
@@ -161,13 +169,14 @@ def cmd_term(args: argparse.Namespace) -> int:
             __version__, "term", args.n, series_names, alphabet, den, nums, brackets
         )
         stages.lap("rows")
+        entry = RENDERERS[args.format](doc), len(doc.terms)
+        stages.lap("render")
         if not args.no_cache:
-            cache_store(key, doc)
+            cache_store(key, *entry)
             stages.lap("cache store")
-    rendered = RENDERERS[args.format](doc)
-    stages.lap("render")
+    rendered, words = entry
     if args.stats:
-        print(_stats_report(stages, cache, len(doc.terms)), file=sys.stderr)
+        print(_stats_report(stages, cache, words), file=sys.stderr)
     if args.out:
         try:
             Path(args.out).write_text(rendered)

@@ -2,9 +2,11 @@
 
 A document stores coefficients as separate numerator and denominator
 strings so arbitrary-precision values survive any JSON consumer, and the
-payload keeps the canonical graded-lexicographic order.  The cache is
-content-addressed: the key hashes everything the payload is a function of,
-so a hit can be replayed byte for byte without recomputation.
+payload keeps the canonical graded-lexicographic order.  The cache holds
+rendered payloads, not documents: the key hashes everything the payload is
+a function of, its format included, and an entry is the payload's bytes
+under a one-line header that names the key and the payload's sha256.  A
+hit writes those bytes back without parsing them.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import contextlib
 import hashlib
 import json
 import os
-import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii as _quote
@@ -29,24 +30,6 @@ from .words import Alphabet
 TOOL_NAME = "bchkit"
 
 TermRow = tuple[str, str, str]
-
-_INTEGER = re.compile(r"-?[0-9]+")
-_POSITIVE = re.compile(r"0*[1-9][0-9]*")
-
-
-def _checked_rows(raw: list) -> list[TermRow]:
-    """Rows of three strings: text, integer, positive integer; else ValueError.
-    Numbers are matched once per distinct value: per row costs more than the parse."""
-    try:  # unpacking, join, hashing and fullmatch raise TypeError on a wrong type
-        rows = [(text, num, den) for text, num, den in raw]
-        "".join([row[0] for row in rows])
-        nums, dens = {row[1] for row in rows}, {row[2] for row in rows}
-        if (set(map(type, raw)) <= {list} and all(map(_INTEGER.fullmatch, nums))
-                and all(map(_POSITIVE.fullmatch, dens))):
-            return rows
-    except TypeError:
-        pass
-    raise ValueError("rows must be [text, integer, positive integer] strings")
 
 
 def _cells(values: Iterable, den: int = 1) -> dict:
@@ -129,34 +112,6 @@ class OutputDocument:
                   for key, value in self._body().items()]
         return "{\n" + ",\n".join(fields) + "\n}\n"
 
-    def to_cache_text(self) -> str:
-        """The document as stored in the cache: compact, so the C encoder writes it."""
-        return json.dumps(self._body(), separators=(",", ":"))
-
-    def answers(self, key: str) -> bool:
-        """Whether ``key`` is the cache key of this document's own header."""
-        header = (self.version, self.mode, self.order, self.letters, self.series, self.dynkin is not None)
-        return (isinstance(self.factors, int) and self.factors == len(self.letters)
-                and cache_key(*header) == key)
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "OutputDocument":
-        """Read either layout back; rows are checked, the header is left to ``answers``."""
-        body = json.loads(text)
-        if not isinstance(body, dict) or body.get("tool") != TOOL_NAME:
-            raise ValueError(f"not a {TOOL_NAME} document")
-        dynkin = body.get("dynkin")
-        return cls(
-            version=body["version"],
-            mode=body["mode"],
-            order=body["order"],
-            factors=body["factors"],
-            letters=tuple(body["letters"]),
-            series=tuple(body["series"]),
-            terms=_checked_rows(body["terms"]),
-            dynkin=None if dynkin is None else _checked_rows(dynkin),
-        )
-
 
 def _json_list(items: list) -> str:
     """A list of strings or string rows as indent=2 JSON at the document's second level."""
@@ -225,57 +180,50 @@ def cache_dir() -> Path:
     return base / TOOL_NAME
 
 
-def cache_key(
-    version: str,
-    mode: str,
-    order: int,
-    letters: Sequence[str],
-    series_names: Sequence[str],
-    with_dynkin: bool,
-) -> str:
-    material = json.dumps(
-        {
-            "version": version,
-            "mode": mode,
-            "order": order,
-            "factors": len(letters),
-            "letters": list(letters),
-            "series": list(series_names),
-            "dynkin": with_dynkin,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
+def cache_key(version: str, mode: str, order: int, letters: Sequence[str], series_names: Sequence[str],
+              with_dynkin: bool, fmt: str) -> str:
+    """The entry name of one rendered payload: the sha256 of every input
+    the payload is a function of, the output format included."""
+    material = dict(version=version, mode=mode, order=order, factors=len(letters), letters=list(letters),
+                    series=list(series_names), dynkin=with_dynkin, format=fmt)
+    return hashlib.sha256(json.dumps(material, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def cache_load(key: str, directory: Path | None = None) -> OutputDocument | None:
-    path = (directory or cache_dir()) / f"{key}.json"
+def cache_load(key: str, directory: Path | None = None) -> tuple[str, int] | None:
+    """The payload stored under ``key`` and its word count, or None on a miss.
+    The entry is the line ``<key> <words> <sha256 of the payload>`` and then
+    the payload's UTF-8 bytes.  An unreadable file, a header that does not
+    name ``key`` or has a non-integer count, a digest that does not match,
+    or bytes that are not UTF-8 are all misses, and the writer replaces them."""
     try:
-        text = path.read_text()
+        data = ((directory or cache_dir()) / key).read_bytes()
     except OSError:
         return None
+    end = data.find(b"\n")
+    payload = memoryview(data)[end + 1 :]
     try:
-        doc = OutputDocument.from_json_text(text)
-    except (ValueError, KeyError, TypeError, RecursionError):
-        # corrupt or too deeply nested entry: a miss, the writer will replace it
-        return None
-    # an entry whose header was edited would answer another request: a miss too
-    return doc if doc.answers(key) else None
+        name, words, digest = data[:end].decode("ascii").split(" ")
+        if end > 0 and name == key and words.isdigit() and digest == hashlib.sha256(payload).hexdigest():
+            return str(payload, "utf-8"), int(words)
+    except ValueError:  # not three ASCII fields, or not UTF-8
+        pass
+    return None
 
 
-def cache_store(key: str, doc: OutputDocument, directory: Path | None = None) -> bool:
-    """Write the entry atomically: a temp file in the cache directory is
-    renamed onto ``<key>.json``, so readers never see a torn file.  A failed
-    write removes the temp file and only warns."""
+def cache_store(key: str, payload: str, words: int, directory: Path | None = None) -> bool:
+    """Write ``payload`` under ``key`` as ``cache_load`` reads it, atomically:
+    a temp file in the cache directory is renamed onto ``<key>``, so readers
+    never see a torn file.  A failed write removes the temp file and only warns."""
     target = directory or cache_dir()
+    data = payload.encode()
     tmp = None
     try:
         target.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target, prefix=f".{key}.", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(doc.to_cache_text())
-        os.replace(tmp, target / f"{key}.json")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(f"{key} {words} {hashlib.sha256(data).hexdigest()}\n".encode())
+            fh.write(data)
+        os.replace(tmp, target / key)
     except OSError as exc:
         if tmp is not None:
             with contextlib.suppress(OSError):

@@ -4,12 +4,13 @@ import errno
 import hashlib
 import json
 import os
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bchkit import cli, output, series, signedeval
+from bchkit import __version__, cli, output, series, signedeval
 from bchkit.cli import main
 from bchkit.words import NCSeries
 
@@ -24,6 +25,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def entry_of(cache, n, fmt="text"):
+    """The cache entry of ``term n --format fmt`` with the default flags."""
+    return cache / output.cache_key(__version__, "term", n, ("x", "y"), ("exp", "exp"), False, fmt)
+
+
+def with_header(entry, key=None, words=None, digest=None, payload=None):
+    """``entry`` with fields of its header or its payload replaced; the digest
+    follows the payload unless it is given."""
+    header, body = entry.split(b"\n", 1)
+    old_key, old_words, _ = header.split(b" ")
+    payload = body if payload is None else payload
+    digest = digest or hashlib.sha256(payload).hexdigest().encode()
+    return b" ".join([key or old_key, words or old_words, digest]) + b"\n" + payload
+
+
+# each turns the entry of term 3 into one that must be a miss; the entry of
+# term 4 is the second argument
+CORRUPTIONS = {
+    "digit_changed": lambda e, other: e.replace(b"-1/6  xyx", b"-7/6  xyx"),
+    "truncated_payload": lambda e, other: e[:-5],
+    "byte_appended": lambda e, other: e + b"x",
+    "header_names_another_key": lambda e, other: with_header(e, key=b"0" * 64),
+    "bad_digest": lambda e, other: with_header(e, digest=b"0" * 64),
+    "non_integer_word_count": lambda e, other: with_header(e, words=b"6.0"),
+    "negative_word_count": lambda e, other: with_header(e, words=b"-6"),
+    "non_utf8_bytes": lambda e, other: with_header(e, payload=b"\xff" + e.split(b"\n", 1)[1]),
+    "no_newline": lambda e, other: e.split(b"\n", 1)[0],
+    "empty_file": lambda e, other: b"",
+    "copied_from_another_key": lambda e, other: other,
+}
 
 
 class TestTerm:
@@ -112,40 +145,64 @@ class TestTerm:
     def test_cache_round_trip(self, capsys, isolated_cache):
         code1, out1, _ = run(capsys, "term", "5", "--format", "json")
         assert code1 == 0
-        entries = list(isolated_cache.glob("*.json"))
-        assert len(entries) == 1
+        entries = list(isolated_cache.iterdir())
+        assert entries == [entry_of(isolated_cache, 5, "json")]
         code2, out2, _ = run(capsys, "term", "5", "--format", "json")
         assert code2 == 0
         assert out2 == out1
-        assert list(isolated_cache.glob("*.json")) == entries
+        assert list(isolated_cache.iterdir()) == entries
+
+    def test_each_format_has_its_own_entry(self, capsys, isolated_cache):
+        """One entry per format: a second format of a term computes it once more."""
+        text = run(capsys, "term", "5", "--stats")
+        json_ = run(capsys, "term", "5", "--format", "json", "--stats")
+        assert sorted(isolated_cache.iterdir()) == sorted(entry_of(isolated_cache, 5, f) for f in ("text", "json"))
+        for first, flags in ((text, ()), (json_, ("--format", "json"))):
+            assert first[2].startswith("stats: cache miss, 30 words out")
+            code, out, err = run(capsys, "term", "5", "--stats", *flags)
+            assert (code, out) == first[:2]
+            assert err.splitlines()[0] == "stats: cache hit, 30 words out"
 
     def test_malformed_entry_is_recomputed(self, capsys, isolated_cache):
         code, _, _ = run(capsys, "term", "2")
         assert code == 0
-        [entry] = isolated_cache.glob("*.json")
-        good = entry.read_text()
+        [entry] = isolated_cache.iterdir()
+        good = entry.read_bytes()
         entry.write_text("[]")
         code, out, err = run(capsys, "term", "2")
         assert code == 0
         assert out.splitlines() == ["1/2  xy", "-1/2  yx"]
         assert err == ""
-        assert entry.read_text() == good
+        assert entry.read_bytes() == good
 
     def test_zero_denominator_entry_is_recomputed(self, capsys, isolated_cache):
-        code, _, _ = run(capsys, "term", "3")
+        code, miss, _ = run(capsys, "term", "3", "--format", "latex")
         assert code == 0
-        [entry] = isolated_cache.glob("*.json")
-        good = entry.read_text()
-        body = json.loads(good)
-        body["terms"][0][2] = "0"
-        entry.write_text(json.dumps(body))
+        entry = entry_of(isolated_cache, 3, "latex")
+        good = entry.read_bytes()
+        entry.write_bytes(good.replace(b"\\frac{1}{12}", b"\\frac{1}{0}", 1))
         code, out, err = run(capsys, "term", "3", "--format", "latex")
         assert (code, err) == (0, "")
-        assert out == (
+        assert out == miss == (
             "z_{3} = \\frac{1}{12}\\,xxy - \\frac{1}{6}\\,xyx + \\frac{1}{12}\\,xyy"
             " + \\frac{1}{12}\\,yxx - \\frac{1}{6}\\,yxy + \\frac{1}{12}\\,yyx\n"
         )
-        assert entry.read_text() == good
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_entry_is_recomputed(self, capsys, isolated_cache, case):
+        """Each corrupted entry is a miss: the command prints the miss bytes,
+        exits 0 with empty stderr, and the entry is rewritten."""
+        miss = run(capsys, "term", "3")
+        assert miss[0] == 0 and miss[2] == ""
+        assert run(capsys, "term", "4")[0] == 0
+        entry = entry_of(isolated_cache, 3)
+        good = entry.read_bytes()
+        bad = CORRUPTIONS[case](good, entry_of(isolated_cache, 4).read_bytes())
+        assert bad != good
+        entry.write_bytes(bad)
+        assert run(capsys, "term", "3") == miss
+        assert entry.read_bytes() == good
 
     @pytest.mark.parametrize(
         "argv, field, value",
@@ -163,19 +220,22 @@ class TestTerm:
         ],
     )
     def test_entry_with_edited_header_is_recomputed(self, capsys, isolated_cache, argv, field, value):
+        """A field of the document's own header edited in a --format json
+        entry: the payload no longer matches its digest."""
         command = ("term", "2", "--format", "json", *argv)
         code, good_out, _ = run(capsys, *command)
         assert code == 0
-        [entry] = isolated_cache.glob("*.json")
-        good = entry.read_text()
-        body = json.loads(good)
+        [entry] = isolated_cache.iterdir()
+        good = entry.read_bytes()
+        head, payload = good.split(b"\n", 1)
+        body = json.loads(payload)
         if value is None:
             del body[field]
         else:
             body[field] = value
-        entry.write_text(json.dumps(body))
+        entry.write_bytes(head + b"\n" + (json.dumps(body, indent=2) + "\n").encode())
         assert run(capsys, *command) == (0, good_out, "")
-        assert entry.read_text() == good
+        assert entry.read_bytes() == good
 
     @pytest.mark.parametrize("flags", [(), ("--dynkin", "--format", "json"), ("--factors", "3")])
     def test_stats_go_to_stderr_only(self, capsys, flags):
@@ -197,8 +257,8 @@ class TestTerm:
 
         dynkin = ["dynkin"] if "--dynkin" in flags else []
         kernel = ["scales", "width", "recurrence", "unpack"]
-        assert stages(miss) == ["cache load", *kernel, *dynkin, "rows", "cache store", "render"]
-        assert stages(hit) == ["cache load", "render"]
+        assert stages(miss) == ["cache load", *kernel, *dynkin, "rows", "render", "cache store"]
+        assert stages(hit) == ["cache load"]
         assert stages(off) == [*kernel, *dynkin, "rows", "render"]
 
     def test_no_cache_leaves_nothing(self, capsys, isolated_cache):
@@ -215,6 +275,21 @@ class TestTerm:
         code, _, err = run(capsys, "term", "2", "--series", "2,1")
         assert code == 1
         assert "f(0) = 1" in err
+
+    @pytest.mark.parametrize("exponent", ["1e300000000", "1e-300000000", "1E+4_301", "1e-4301"])
+    def test_huge_series_exponent_fails_fast(self, capsys, exponent):
+        """Fraction would build 10**exponent before any check could run."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "term", "2", "--no-cache", "--series", f"1,{exponent}")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad series")
+
+    def test_small_series_exponents_still_parse(self, capsys):
+        code, out, _ = run(capsys, "term", "2", "--no-cache", "--series", "1,1e-2,2.5E1_0")
+        assert code == 0
+        big = "499999999999999/20000"
+        assert out.splitlines() == [f"{big}  xx", "1/20000  xy", "-1/20000  yx", f"{big}  yy"]
 
     def test_series_count_mismatch(self, capsys):
         code, _, err = run(
@@ -476,13 +551,16 @@ def test_term_stdout_matches_matrix_kernel_digest(capsys, command):
 
 @pytest.mark.parametrize("command", sorted({**DIGESTS, **TERM_DIGESTS}))
 def test_cache_hit_prints_the_miss_bytes(capsys, isolated_cache, command):
-    """The miss, the hit, and a hit on an entry in the indent=2 layout that
-    earlier versions wrote all print the same bytes."""
+    """The miss, the hit, and a run after one byte of each entry's payload
+    changed all print the same bytes, and the run after the change rewrites
+    the entry."""
     miss = run(capsys, *command.split())
     assert run(capsys, *command.split()) == miss
-    for entry in isolated_cache.glob("*.json"):
-        entry.write_text(output.OutputDocument.from_json_text(entry.read_text()).to_json_text())
+    entries = {entry: entry.read_bytes() for entry in isolated_cache.glob("*")}
+    for entry, good in entries.items():
+        entry.write_bytes(good[:-2] + bytes([good[-2] ^ 1]) + good[-1:])
     assert run(capsys, *command.split()) == miss
+    assert {entry: entry.read_bytes() for entry in isolated_cache.glob("*")} == entries
 
 
 class TestParsing:

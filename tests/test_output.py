@@ -1,5 +1,6 @@
 """Documents, renderings, and the content-addressed cache."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -33,25 +34,34 @@ def make_doc(n=3, with_dynkin=False):
     )
 
 
-def key_of(doc):
-    """The cache key of the request that ``doc`` answers."""
-    return cache_key(doc.version, doc.mode, doc.order, doc.letters, doc.series, doc.dynkin is not None)
+def key_of(doc, fmt="json"):
+    """The cache key of the request that ``doc`` rendered in ``fmt`` answers."""
+    return cache_key(doc.version, doc.mode, doc.order, doc.letters, doc.series, doc.dynkin is not None, fmt)
+
+
+def parse_json(text):
+    """The document a --format json payload describes; the package itself
+    never reads one back."""
+    body = json.loads(text)
+    assert body.pop("tool") == "bchkit"
+    rows = {name: [tuple(row) for row in body[name]] for name in ("terms", "dynkin") if name in body}
+    return OutputDocument(**{**body, "letters": tuple(body["letters"]), "series": tuple(body["series"]), **rows})
 
 
 class TestDocument:
     def test_round_trip_plain(self):
         doc = make_doc(4)
-        assert OutputDocument.from_json_text(doc.to_json_text()) == doc
+        assert parse_json(doc.to_json_text()) == doc
 
     def test_round_trip_with_dynkin(self):
         doc = make_doc(3, with_dynkin=True)
-        assert OutputDocument.from_json_text(doc.to_json_text()) == doc
+        assert parse_json(doc.to_json_text()) == doc
 
     def test_serialization_is_stable(self):
         doc = make_doc(4)
         text = doc.to_json_text()
-        reparsed = OutputDocument.from_json_text(text)
-        assert reparsed.to_json_text() == text
+        assert make_doc(4).to_json_text() == text
+        assert parse_json(text).to_json_text() == text
 
     def test_payload_order_is_graded_lex(self):
         doc = make_doc(4)
@@ -64,11 +74,17 @@ class TestDocument:
             f = Fraction(int(num), int(den))
             assert (str(f.numerator), str(f.denominator)) == (num, den)
 
-    def test_rejects_foreign_documents(self):
-        with pytest.raises(ValueError):
-            OutputDocument.from_json_text('{"tool": "something-else"}')
+    def test_rejects_foreign_documents(self, tmp_path):
+        """A JSON document is no cache entry: neither the indent=2 payload
+        under the entry's name nor the compact layout that earlier versions
+        wrote to ``<key>.json`` is ever served."""
+        doc = make_doc(3)
+        key = key_of(doc)
+        (tmp_path / key).write_text(doc.to_json_text())
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc._body(), separators=(",", ":")))
+        assert cache_load(key, tmp_path) is None
 
-    def test_arbitrary_precision_survives(self):
+    def test_arbitrary_precision_survives(self, tmp_path):
         big = Fraction(1, 10**40 + 9)
         doc = OutputDocument(
             version=__version__,
@@ -79,8 +95,11 @@ class TestDocument:
             series=("exp", "exp"),
             terms=[("x", str(big.numerator), str(big.denominator))],
         )
-        back = OutputDocument.from_json_text(doc.to_json_text())
+        back = parse_json(doc.to_json_text())
         assert Fraction(int(back.terms[0][1]), int(back.terms[0][2])) == big
+        key = key_of(doc, "text")
+        assert cache_store(key, render_text(doc), 1, tmp_path)
+        assert cache_load(key, tmp_path) == (f"1/{10**40 + 9}  x\n", 1)
 
 
 def matrix_route(n, specs):
@@ -156,7 +175,7 @@ class TestJsonWriter:
     def test_escaped_letters_round_trip(self):
         doc = escaping_doc()
         assert '"\\"\\u00e9"' in doc.to_json_text()  # the word of letters 0 and 2
-        assert OutputDocument.from_json_text(doc.to_json_text()) == doc
+        assert parse_json(doc.to_json_text()) == doc
 
 
 class TestRenderings:
@@ -206,50 +225,60 @@ class TestRenderings:
         )
         assert render_text(doc) == "0\n"
         assert render_latex(doc) == "z_{2} = 0\n"
-        assert OutputDocument.from_json_text(doc.to_json_text()) == doc
+        assert parse_json(doc.to_json_text()) == doc
 
 
 class TestCache:
     def test_key_is_stable_and_sensitive(self):
-        base = cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False)
-        assert base == cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False)
+        args = ("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "text")
+        base = cache_key(*args)
+        assert base == cache_key(*args)
         variants = [
-            cache_key("0.2.0", "term", 4, ("x", "y"), ("exp", "exp"), False),
-            cache_key("0.1.0", "term", 5, ("x", "y"), ("exp", "exp"), False),
-            cache_key("0.1.0", "term", 4, ("a", "b"), ("exp", "exp"), False),
-            cache_key("0.1.0", "term", 4, ("x", "y"), ("1,1", "exp"), False),
-            cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), True),
+            cache_key("0.2.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "text"),
+            cache_key("0.1.0", "term", 5, ("x", "y"), ("exp", "exp"), False, "text"),
+            cache_key("0.1.0", "term", 4, ("a", "b"), ("exp", "exp"), False, "text"),
+            cache_key("0.1.0", "term", 4, ("x", "y"), ("1,1", "exp"), False, "text"),
+            cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), True, "text"),
+            cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "json"),
+            cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "latex"),
         ]
         assert base not in variants
         assert len(set(variants)) == len(variants)
 
     def test_store_and_load(self, tmp_path):
         doc = make_doc(3)
-        key = cache_key(__version__, "term", 3, ("x", "y"), ("exp", "exp"), False)
-        assert cache_store(key, doc, tmp_path)
-        assert cache_load(key, tmp_path) == doc
+        payload = doc.to_json_text()
+        key = key_of(doc)
+        assert cache_store(key, payload, len(doc.terms), tmp_path)
+        assert cache_load(key, tmp_path) == (payload, 6)
+        header, body = (tmp_path / key).read_bytes().split(b"\n", 1)
+        assert header == f"{key} 6 {hashlib.sha256(payload.encode()).hexdigest()}".encode()
+        assert body == payload.encode()
 
     def test_store_leaves_only_the_entry(self, tmp_path):
         key = key_of(make_doc(4))
-        assert cache_store(key, make_doc(3), tmp_path)
-        assert cache_store(key, make_doc(4), tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
-        assert cache_load(key, tmp_path) == make_doc(4)
+        assert cache_store(key, make_doc(3).to_json_text(), 6, tmp_path)
+        assert cache_store(key, make_doc(4).to_json_text(), 4, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [key]
+        assert cache_load(key, tmp_path) == (make_doc(4).to_json_text(), 4)
 
     def test_entry_under_another_key_is_a_miss(self, tmp_path):
         doc = make_doc(3)
-        for key in (key_of(make_doc(4)), key_of(make_doc(3, with_dynkin=True)), "a" * 64):
-            assert cache_store(key, doc, tmp_path)
+        payload = doc.to_json_text()
+        assert cache_store(key_of(doc), payload, 6, tmp_path)
+        entry = (tmp_path / key_of(doc)).read_bytes()
+        others = (key_of(make_doc(4)), key_of(make_doc(3, with_dynkin=True)), key_of(doc, "text"), "a" * 64)
+        for key in others:
+            (tmp_path / key).write_bytes(entry)
             assert cache_load(key, tmp_path) is None
-        assert cache_store(key_of(doc), doc, tmp_path)
-        assert cache_load(key_of(doc), tmp_path) == doc
+        assert cache_load(key_of(doc), tmp_path) == (payload, 6)
 
     def test_missing_entry(self, tmp_path):
         assert cache_load("0" * 64, tmp_path) is None
 
     def test_corrupt_entry_behaves_like_miss(self, tmp_path):
         key = "f" * 64
-        (tmp_path / f"{key}.json").write_text("{not json")
+        (tmp_path / key).write_text("{not json")
         assert cache_load(key, tmp_path) is None
 
     BAD_ROWS = {
@@ -267,21 +296,22 @@ class TestCache:
         "case", ["list", "string", "deep_nesting", "bad_dynkin_row", *BAD_ROWS]
     )
     def test_malformed_entry_behaves_like_miss(self, tmp_path, case):
+        """A --format json entry whose payload is swapped for a malformed
+        document under its own, otherwise valid header: the digest misses."""
         doc = make_doc(3, with_dynkin=True)
-        key = key_of(doc)  # the entry's own key, so only its rows make it a miss
+        key = key_of(doc)
+        assert cache_store(key, doc.to_json_text(), len(doc.terms), tmp_path)
+        header = (tmp_path / key).read_bytes().split(b"\n", 1)[0]
         body = json.loads(doc.to_json_text())
         if case in self.BAD_ROWS:
             body["terms"][0] = self.BAD_ROWS[case]
         if case == "bad_dynkin_row":
             body["dynkin"][0][2] = "0"
         text = {"list": "[]", "string": '"xxy"', "deep_nesting": "[" * 100_000}.get(
-            case, json.dumps(body)
+            case, json.dumps(body, indent=2) + "\n"
         )
-        (tmp_path / f"{key}.json").write_text(text)
+        (tmp_path / key).write_bytes(header + b"\n" + text.encode())
         assert cache_load(key, tmp_path) is None
-        if case not in ("list", "string", "deep_nesting"):
-            with pytest.raises(ValueError):
-                OutputDocument.from_json_text(text)
 
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("BCHKIT_CACHE_DIR", str(tmp_path / "override"))
