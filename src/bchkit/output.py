@@ -32,14 +32,19 @@ TOOL_NAME = "bchkit"
 TermRow = tuple[str, str, str]
 
 
-def _cells(values: Iterable, den: int = 1) -> dict:
+def _cells(values: Iterable, order: int, den: int = 1) -> dict:
     """Each distinct value over ``den``, in lowest terms, as its numerator and
     denominator strings: the one row formatter.  A document repeats a few
     hundred values over thousands of rows, so each is reduced and printed once."""
     cells = {}
     for v in set(values):
         c = Fraction(v, den)
-        cells[v] = (str(c.numerator), str(c.denominator))
+        try:
+            cells[v] = (str(c.numerator), str(c.denominator))
+        except ValueError:  # str() refuses an int past sys.get_int_max_str_digits() digits
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"a coefficient of the order-{order} term has more than {limit} digits, "
+                             "Python's limit for printing an integer") from None
     return cells
 
 
@@ -71,13 +76,13 @@ class OutputDocument:
         gives it: the rows need no word tuples, no Fractions and no sort."""
         if len(nums) != alphabet.size**order:
             raise ValueError(f"{len(nums)} numerators for {alphabet.size}^{order} words")
-        cells = _cells(nums, den)
+        cells = _cells(nums, order, den)
         # only the words of nonzero lanes are joined into text
         words = map("".join, compress(product(alphabet.letters, repeat=order), nums))
         rows = [(w, *cells[c]) for w, c in zip(words, filter(None, nums))]
         bracket_rows = None
         if dynkin_terms is not None:
-            cells = _cells(t.coefficient for t in dynkin_terms)
+            cells = _cells((t.coefficient for t in dynkin_terms), order)
             bracket_rows = [(t.bracket_str(alphabet), *cells[t.coefficient]) for t in dynkin_terms]
         return cls(
             version=version,

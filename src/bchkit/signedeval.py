@@ -24,6 +24,7 @@ the order-d assignments: a scan of orders 1..n is one run, as are the
 tables verify reconstructs.  The top order splits into subtrees of at most
 2**12 lanes, run here or on one pool of processes per call; a prefix
 shorter than the subtrees' depth comes only from the subtree rooted at it.
+Each order comes back as integer numerators over L_d d!, with no Fraction.
 """
 
 from __future__ import annotations
@@ -32,17 +33,16 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, repeat
+from itertools import chain, repeat
 from math import comb, factorial, lcm
-from operator import add, itemgetter, sub
-from typing import Callable, Sequence
+from operator import add, sub
+from typing import Sequence
 
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
-Keep = Callable[[int, int], bool] | None  # keep(order, mask); None keeps every leaf
-Leaf = tuple[int, int, Fraction]  # (order, mask, value)
-POOL_MIN_MASKS = 1 << 18  # below this many top-order masks, the kernel costs less than a pool
+Lanes = tuple[int, int, list[int], list[int]]  # (order, denominator, masks, numerators)
+POOL_MIN_MASKS = 1 << 16  # below this many top-order masks, the kernel costs less than a pool
 SUBTREE_LANES = 1 << 12  # top-order lanes of one job: bounds its memory
 
 
@@ -56,14 +56,14 @@ def _reverse_mask(n: int, mask: int) -> int:
 
 
 def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
-    """Exact value of the (1, n+1) log entry at one +-1 assignment (one-leaf walk)."""
+    """Exact value of the (1, n+1) log entry at one +-1 assignment (one-lane walk)."""
     signs = tuple(signs)
     if len(signs) != n:
         raise ValueError(f"expected {n} signs, got {len(signs)}")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
-    mask = sum(1 << i for i, s in enumerate(signs) if s < 0)
-    return _walk(n, mask, n)[0][2]
+    [(_, den, _, [num])] = _walk(n, sum(1 << i for i, s in enumerate(signs) if s < 0), n)
+    return Fraction(num, den)
 
 
 @cache
@@ -74,7 +74,7 @@ def _lane_width(n: int) -> int:
     on q every assignment has |u_q| <= u+_q and |a_q| <= a+_q, the rows of
     the all-plus run.  ``_walk`` splits (C u_{q-1})[d], at most a+_q[d], and
     (C a_q)[d], at most u+_q[d] + u+_{q-1}[d] <= sum_q (L/q) u+_q[d], which
-    also bounds a leaf's numerator.  The largest bound plus a sign bit,
+    also bounds a lane's numerator.  The largest bound plus a sign bit,
     rounded up to whole bytes, keeps every lane within +-2**(W-1).
     """
     u, bound = [[1] + [0] * n], 0
@@ -86,9 +86,9 @@ def _lane_width(n: int) -> int:
     return (max(bound, *leaves).bit_length() + 8) // 8 * 8
 
 
-def _walk(n: int, root: int, depth: int, keep: Keep = None, low: int | None = None) -> list[Leaf]:
-    """(order, mask, value) of one subtree, for each order d in low..n
-    (low defaults to n) and each mask of d signs with ``keep(d, mask)``.
+def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[Lanes]:
+    """(d, L d!, masks, numerators) of one subtree for each order d in low..n
+    (low defaults to n): its masks of d signs in lane order, each value's numerator.
 
     The subtree holds the masks with ``root`` as their low ``depth`` bits.
     With P_t = s_1 ... s_t and D = diag(P_0, ..., P_n) the product is
@@ -102,8 +102,8 @@ def _walk(n: int, root: int, depth: int, keep: Keep = None, low: int | None = No
     keeps its 2**(j - depth) lanes; a dot product with row d of C
     broadcasts them Horner-style (acc += acc << W lanes).  The order-d
     product is the leading block of the order-n one, so level d yields the
-    order-d leaves, valued sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!) with
-    L = lcm(1..d).  A prefix shorter than ``depth`` lies in several
+    order-d values sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!), L = lcm(1..d),
+    unpacked to ints.  A prefix shorter than ``depth`` lies in several
     subtrees; only the one rooted at it (root >> d == 0) emits it.
     """
     # its own first-row log: a bug shared with the symbolic kernel would pass verify --modes signed
@@ -141,36 +141,37 @@ def _walk(n: int, root: int, depth: int, keep: Keep = None, low: int | None = No
         value = sum((-1) ** (q + 1) * (big // q) * u[q][d] for q in range(1, d + 1))
         data = (value + offset(lanes)).to_bytes(size * lanes, "little")
         masks = [(f ^ f << 1) & top for f in range(froot & top, top + 1, 1 << depth)]
-        den = big * factorial(d)
-        kept = [i for i, mask in enumerate(masks) if keep is None or keep(d, mask)]
-        nums = [int.from_bytes(data[i * size : (i + 1) * size], "little") - half for i in kept]
-        out += [(d, masks[i], Fraction(v, den)) for i, v in zip(kept, nums)]
+        nums = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+        out.append((d, big * factorial(d), masks, nums))
     return out
 
 
-def _lattice(n: int, keep: Keep, workers: int | None, low: int | None = None) -> list[Leaf]:
-    """The wanted leaves of orders low..n (low defaults to n), sorted.  Order
-    n runs as low-bit subtrees of at most SUBTREE_LANES masks, so memory is
-    bounded whatever n is: on min(workers, cpu count) processes, two or more
-    subtrees each, if it has max(4 * workers, POOL_MIN_MASKS) masks, else
-    here.  Mask ranges in place of subtrees would redo the shared prefixes."""
+def _lattice(n: int, workers: int | None, low: int | None = None) -> list[Lanes]:
+    """Every subtree's lanes, joined per order low..n (low defaults to n),
+    ascending.  Order n runs as low-bit subtrees of at most SUBTREE_LANES
+    masks, so memory is bounded whatever n is: on min(workers, cpu count)
+    processes, two or more subtrees each, if it has max(4 * workers,
+    POOL_MIN_MASKS) masks, else here.  Mask ranges would redo shared prefixes."""
     workers = min(workers or 1, os.cpu_count() or 1)
     pooled = workers > 1 and 1 << n >= max(4 * workers, POOL_MIN_MASKS)
     depth = max(n + 1 - SUBTREE_LANES.bit_length(), (2 * workers - 1).bit_length() if pooled else 0)
-    jobs = (repeat(n), range(1 << depth), repeat(depth), repeat(keep), repeat(low))
-    if not pooled:
-        return sorted(leaf for leaves in map(_walk, *jobs) for leaf in leaves)
-    from concurrent.futures import ProcessPoolExecutor  # here: it pulls in multiprocessing
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sorted(leaf for leaves in pool.map(_walk, *jobs) for leaf in leaves)
+    jobs = (repeat(n), range(1 << depth), repeat(depth), repeat(low))
+    if pooled:
+        from concurrent.futures import ProcessPoolExecutor  # here: it pulls in multiprocessing
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_walk, *jobs))
+    else:
+        parts = map(_walk, *jobs)
+    orders: dict[int, Lanes] = {}  # root 0 comes first and emits every order, ascending
+    for d, den, masks, nums in chain.from_iterable(parts):
+        joined = orders.setdefault(d, (d, den, [], []))
+        joined[2].extend(masks)
+        joined[3].extend(nums)
+    return list(orders.values())
 
 
 def _odd_plus(n: int, mask: int) -> bool:
     return (n - mask.bit_count()) % 2 == 1
-
-
-def _pair_rep(n: int, mask: int) -> bool:
-    return _odd_plus(n, mask) and mask <= _reverse_mask(n, mask)
 
 
 @dataclass
@@ -179,8 +180,8 @@ class SignedCoefficientTable:
 
     ``values[mask]`` is the value at the assignment with -1 exactly at
     positions i+1 for the set bits i of ``mask``.  Both build modes fill
-    the full list; pruning only changes which entries are computed versus
-    written down from the symmetry rules.
+    the full list; pruning only changes which entries are read from the
+    walk versus written down from the symmetry rules.
     """
 
     n: int
@@ -199,7 +200,7 @@ def build_tables(n: int, pruning: str = "none", workers: int | None = None,
 
     pruning="none" evaluates every assignment directly.
     pruning="symmetry" records even-plus-count assignments as zero without
-    evaluation and computes one member of each reversal pair, deriving the
+    reading them and reads one member of each reversal pair, deriving the
     partner via the (-1)**(n-1) factor.  The two modes return equal tables.
     """
     if n < 1:
@@ -208,15 +209,15 @@ def build_tables(n: int, pruning: str = "none", workers: int | None = None,
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
     if low is not None and not 1 <= low <= n:
         raise ValueError(f"lowest order must be in 1..{n}, got {low}")
-    keep = None if pruning == "none" else _pair_rep
     tables = []
-    # every order keeps at least one mask, so groupby yields each of low..n
-    for d, leaves in groupby(_lattice(n, keep, workers, low), itemgetter(0)):
+    for d, den, masks, nums in _lattice(n, workers, low):
         values = [Fraction(0)] * (1 << d)
-        for _, mask, v in leaves:
-            if keep:
-                values[_reverse_mask(d, mask)] = (-1) ** (d - 1) * v
-            values[mask] = v
+        for mask, num in zip(masks, nums):
+            if pruning == "none":
+                values[mask] = Fraction(num, den)
+            elif _odd_plus(d, mask) and mask <= (partner := _reverse_mask(d, mask)):
+                values[partner] = (-1) ** (d - 1) * (value := Fraction(num, den))
+                values[mask] = value
         tables.append(SignedCoefficientTable(d, values))
     return tables
 
@@ -275,13 +276,10 @@ def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport
     if n_max < 1:
         raise ValueError(f"order must be >= 1, got {n_max}")
     reports = []
-    # each order keeps its masks with a single +1, so groupby yields all of 1..n_max
-    for n, group in groupby(_lattice(n_max, _odd_plus, workers, low=1), itemgetter(0)):
-        leaves = list(group)
-        zeros = [mask for _, mask, value in leaves if not value]
-        # zeros is sorted, so the all-plus mask 0 comes first when present
-        structural = int(n > 1 and n % 2 == 1 and zeros[:1] == [0])
+    for n, _, masks, nums in _lattice(n_max, workers, low=1):
+        zeros = sorted(mask for mask, num in zip(masks, nums) if not num and _odd_plus(n, mask))
+        structural = int(n > 1 and n % 2 == 1 and zeros[:1] == [0])  # all-plus is mask 0
         unexpected = [_mask_signs(n, mask) for mask in zeros[structural:]]
-        nonzero = len(leaves) - len(zeros)
-        reports.append(ScanReport(n, (1 << n) - len(leaves), structural, nonzero, unexpected))
+        evaluated = len(masks) >> 1  # half of the n-bit masks have an odd +1 count
+        reports.append(ScanReport(n, (1 << n) - evaluated, structural, evaluated - len(zeros), unexpected))
     return reports

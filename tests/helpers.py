@@ -115,6 +115,12 @@ def eval_assignment_reference(n: int, signs) -> Fraction:
     return Fraction(acc, big * factorial(n))
 
 
+def lane_leaves(lanes) -> list[tuple[int, int, Fraction]]:
+    """``signedeval._walk``'s or ``_lattice``'s lanes as (order, mask, value)
+    leaves, in lane order, so tests compare values with the reference."""
+    return [(d, mask, Fraction(num, den)) for d, den, masks, nums in lanes for mask, num in zip(masks, nums)]
+
+
 def expand_commutators_reference(terms, alphabet) -> NCSeries:
     """Left-normed brackets expanded one at a time through word dicts.
 

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -290,6 +291,27 @@ class TestTerm:
         assert code == 0
         big = "499999999999999/20000"
         assert out.splitlines() == [f"{big}  xx", "1/20000  xy", "-1/20000  yx", f"{big}  yy"]
+
+    @pytest.mark.parametrize("flags", [(), ("--no-cache",)])
+    @pytest.mark.parametrize("order,coefficient", [(2, "1e2200"), (3, "1e1500")])
+    def test_coefficient_past_the_digit_limit(self, capsys, isolated_cache, flags, order, coefficient):
+        """str() refuses an int of more digits than the interpreter's limit, which stays as it is."""
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "term", str(order), *flags, "--series", f"1,{coefficient}")
+        assert (code, out) == (1, "")
+        assert err == (f"error: a coefficient of the order-{order} term has more than {limit} digits, "
+                       "Python's limit for printing an integer\n")
+        assert sys.get_int_max_str_digits() == limit
+        assert not isolated_cache.exists() or not any(isolated_cache.iterdir())
+
+    def test_coefficient_under_the_digit_limit_prints(self, capsys, isolated_cache):
+        big = 5 * 10**4199
+        expected = [f"-{big}  xx", f"{big}  xy", f"-{big}  yx", f"-{big}  yy"]
+        for flags in (("--no-cache",), (), ()):  # off, then cold and a hit
+            code, out, err = run(capsys, "term", "2", *flags, "--series", "1,1e2100")
+            assert (code, err) == (0, "")
+            assert out.splitlines() == expected
+        assert len(list(isolated_cache.iterdir())) == 1
 
     def test_series_count_mismatch(self, capsys):
         code, _, err = run(

@@ -29,7 +29,7 @@ from bchkit.signedeval import (
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet
-from helpers import eval_assignment_reference
+from helpers import eval_assignment_reference, lane_leaves
 
 
 def all_assignments(n):
@@ -87,44 +87,30 @@ class TestWalk:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_mask_matches_the_reference(self, n):
         expected = [(n, m, eval_assignment_reference(n, _mask_signs(n, m))) for m in range(1 << n)]
-        assert sorted(_walk(n, 0, 0)) == expected
+        assert sorted(lane_leaves(_walk(n, 0, 0))) == expected
 
     @pytest.mark.parametrize("n", [12, 13, 14])
     def test_sampled_masks_match_the_reference(self, n):
         sample = set(random.Random(n).sample(range(1 << n), 24)) | {0, (1 << n) - 1}
-        got = _walk(n, 0, 0, lambda order, mask: mask in sample)
+        got = [leaf for leaf in lane_leaves(_walk(n, 0, 0)) if leaf[1] in sample]
         assert sorted(got) == [(n, m, eval_assignment_reference(n, _mask_signs(n, m))) for m in sorted(sample)]
-
-    @pytest.mark.parametrize("n", [1, 5, 9])
-    def test_no_leaf_kept(self, n):
-        assert _walk(n, 0, 0, lambda order, mask: False) == []
 
     @pytest.mark.parametrize("n", [1, 5, 9])
     def test_one_leaf(self, n):
         mask = random.Random(n).randrange(1 << n)
         expected = [(n, mask, eval_assignment_reference(n, _mask_signs(n, mask)))]
-        assert _walk(n, 0, 0, lambda order, m: m == mask) == expected
-        assert _walk(n, mask, n) == expected
+        assert [leaf for leaf in lane_leaves(_walk(n, 0, 0)) if leaf[1] == mask] == expected
+        assert lane_leaves(_walk(n, mask, n)) == expected
         assert eval_assignment(n, _mask_signs(n, mask)) == expected[0][2]
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_subtrees_at_each_depth_partition_the_lattice(self, n):
-        whole = sorted(_walk(n, 0, 0))
+        whole = sorted(lane_leaves(_walk(n, 0, 0)))
         for depth in range(n + 1):
-            parts = [_walk(n, root, depth) for root in range(1 << depth)]
+            parts = [lane_leaves(_walk(n, root, depth)) for root in range(1 << depth)]
             for root, part in enumerate(parts):
                 assert all(mask % (1 << depth) == root for _, mask, _ in part)
             assert sorted(leaf for part in parts for leaf in part) == whole
-
-    def test_keep_sees_the_order_and_each_leaf_once(self):
-        seen = []
-
-        def keep(order, mask):
-            seen.append((order, mask))
-            return True
-
-        _walk(6, 0b10, 2, keep)
-        assert sorted(seen) == [(6, m) for m in range(64) if m % 4 == 0b10]
 
 
 class TestKernel:
@@ -135,17 +121,17 @@ class TestKernel:
     def test_width_is_needed(self, monkeypatch, n):
         # three bytes fewer per lane corrupts some leaf; the leaf-value term of
         # the proof leaves the width 16 to 23 bits above the narrowest that works
-        exact = sorted(_walk(n, 0, 0))
+        exact = sorted(lane_leaves(_walk(n, 0, 0)))
         width = signedeval._lane_width(n)
         monkeypatch.setattr(signedeval, "_lane_width", lambda order: width - 24)
-        wrong = [leaf for leaf, good in zip(sorted(_walk(n, 0, 0)), exact) if leaf != good]
+        wrong = [leaf for leaf, good in zip(sorted(lane_leaves(_walk(n, 0, 0))), exact) if leaf != good]
         assert wrong
         _, mask, value = wrong[0]
         assert value != eval_assignment_reference(n, _mask_signs(n, mask))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_even_plus_leaves_vanish(self, n):
-        leaves = _walk(n, 0, 0, None, 1)
+        leaves = lane_leaves(_walk(n, 0, 0, 1))
         assert len(leaves) == (2 << n) - 2
         assert all(value == 0 for d, mask, value in leaves if (d - mask.bit_count()) % 2 == 0)
 
@@ -162,7 +148,7 @@ class TestKernel:
         monkeypatch.setattr(signedeval, "_walk", recording)
         assert ([vars(r) for r in scan_nonvanishing(13)], build_table(12, "symmetry").values) == whole
         # 2**9 subtrees of 2**4 top-order masks for order 13, 2**8 for order 12
-        assert sorted({(n, depth) for n, _, depth, _, _ in calls}) == [(12, 8), (13, 9)]
+        assert sorted({(n, depth) for n, _, depth, _ in calls}) == [(12, 8), (13, 9)]
         assert len(calls) == (1 << 9) + (1 << 8)
 
     def test_scan_17_memory(self):
@@ -183,23 +169,26 @@ class TestLowerOrders:
     """One walk from order low up to n against a separate walk per order."""
 
     @staticmethod
-    def per_order(n_max, keep=None, low=1):
-        return [leaf for d in range(low, n_max + 1) for leaf in sorted(_walk(d, 0, 0, keep))]
+    def per_order(n_max, low=1):
+        return [leaf for d in range(low, n_max + 1) for leaf in sorted(lane_leaves(_walk(d, 0, 0)))]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_every_lower_order_leaf(self, n):
         for low in range(1, n + 1):
-            assert sorted(_walk(n, 0, 0, None, low)) == self.per_order(n, None, low)
+            assert sorted(lane_leaves(_walk(n, 0, 0, low))) == self.per_order(n, low)
 
     @pytest.mark.parametrize("n", [1, 6, 12])
     def test_kept_lower_order_leaves(self, n):
-        assert sorted(_walk(n, 0, 0, _odd_plus, 1)) == self.per_order(n, _odd_plus)
+        # the odd-plus leaves, the ones a scan tests for zero
+        kept = [leaf for leaf in lane_leaves(_walk(n, 0, 0, 1)) if _odd_plus(leaf[0], leaf[1])]
+        assert sorted(kept) == [leaf for leaf in self.per_order(n) if _odd_plus(leaf[0], leaf[1])]
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_subtrees_emit_each_order_and_mask_once(self, n):
         # a prefix shorter than depth comes only from the subtree rooted at it
         for depth in range(n + 1):
-            pairs = [(d, mask) for root in range(1 << depth) for d, mask, _ in _walk(n, root, depth, None, 1)]
+            leaves = [leaf for root in range(1 << depth) for leaf in lane_leaves(_walk(n, root, depth, 1))]
+            pairs = [(d, mask) for d, mask, _ in leaves]
             assert len(pairs) == len(set(pairs))
             assert sorted(pairs) == [(d, m) for d in range(1, n + 1) for m in range(1 << d)]
 
@@ -208,7 +197,7 @@ def census(n_max):
     """ScanReport fields built from a separate _walk per order."""
     out = []
     for d in range(1, n_max + 1):
-        leaves = sorted(_walk(d, 0, 0, _odd_plus))
+        leaves = sorted(leaf for leaf in lane_leaves(_walk(d, 0, 0)) if _odd_plus(d, leaf[1]))
         zeros = [mask for _, mask, value in leaves if not value]
         structural = int(d > 1 and d % 2 == 1 and 0 in zeros)
         unexpected = [_mask_signs(d, m) for m in zeros if not (structural and m == 0)]
@@ -293,22 +282,19 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_symmetry_evaluates_one_mask_per_reversal_pair(self, monkeypatch, n):
-        # the leaves the kernel computes, i.e. those it returns a value for
-        evaluated = []
-
-        def recording(*args):
-            leaves = _walk(*args)
-            evaluated.extend(mask for _, mask, _ in leaves)
-            return leaves
-
-        monkeypatch.setattr(signedeval, "_walk", recording)
+        # every lane but one per reversal pair is made wrong: the symmetry
+        # table must not read it, the unpruned table must
         odd_plus = [m for m in range(1 << n) if (n - m.bit_count()) % 2 == 1]
         pairs = {min(m, _reverse_mask(n, m)) for m in odd_plus}
-        build_table(n, "symmetry")
-        assert sorted(evaluated) == sorted(pairs)
-        evaluated.clear()
-        build_table(n, "none")
-        assert sorted(evaluated) == list(range(1 << n))
+        exact = {pruning: build_table(n, pruning).values for pruning in PRUNING_MODES}
+
+        def corrupted(*args):
+            return [(d, den, masks, [num if m in pairs else num + 7 for m, num in zip(masks, nums)])
+                    for d, den, masks, nums in _walk(*args)]
+
+        monkeypatch.setattr(signedeval, "_walk", corrupted)
+        assert build_table(n, "symmetry").values == exact["symmetry"]
+        assert build_table(n, "none").values != exact["none"]
 
 
 class TestReconstruct:
@@ -458,16 +444,35 @@ class TestWorkerCap:
         [(_, [jobs])] = pools
         assert len(jobs) >= 2 * workers
         masks = []
-        for order, root, depth, keep, low in jobs:
-            assert (order, keep, low) == (n, None, None)
-            leaves = _walk(order, root, depth, keep, low)
+        for order, root, depth, low in jobs:
+            assert (order, low) == (n, None)
+            leaves = lane_leaves(_walk(order, root, depth, low))
             assert all(mask % (1 << depth) == root for _, mask, _ in leaves)
             masks += [mask for _, mask, _ in leaves]
         assert sorted(masks) == list(range(1 << n))
 
-    @pytest.mark.parametrize("n,expected", [(17, []), (18, [2])])
+    def test_workers_send_back_only_ints(self, monkeypatch, pools):
+        # what a pool pickles back is what its jobs return: ints in tuples and lists
+        monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
+        returned = []
+
+        def recording(*job):
+            returned.append(_walk(*job))
+            return returned[-1]
+
+        monkeypatch.setattr(signedeval, "_walk", recording)
+        scan_nonvanishing(9, workers=2)
+        build_tables(8, "symmetry", 2, low=1)
+        assert len(returned) == sum(len(jobs) for _, maps in pools for jobs in maps) > 0
+
+        def atoms(x):
+            return [a for item in x for a in atoms(item)] if isinstance(x, (list, tuple)) else [x]
+
+        assert {type(a) for a in atoms(returned)} == {int}
+
+    @pytest.mark.parametrize("n,expected", [(15, []), (16, [2])])
     def test_pool_floor(self, monkeypatch, pools, n, expected):
-        # the real floor: scan 17 --workers 2 stays serial, 2**18 masks pool
+        # the real floor: scan 15 --workers 2 stays serial, 2**16 masks pool
         monkeypatch.setattr(signedeval, "POOL_MIN_MASKS", POOL_MIN_MASKS)
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
         got = scan_nonvanishing(n, workers=2)
@@ -507,6 +512,6 @@ class TestWorkerCap:
         scan_nonvanishing(n, workers)
         [(_, [jobs])] = pools
         assert len(jobs) >= 2 * workers
-        pairs = [(d, mask) for job in jobs for d, mask, _ in _walk(*job)]
+        pairs = [(d, mask) for job in jobs for d, mask, _ in lane_leaves(_walk(*job))]
         assert len(pairs) == len(set(pairs))
-        assert sorted(pairs) == [(d, m) for d in range(1, n + 1) for m in range(1 << d) if _odd_plus(d, m)]
+        assert sorted(pairs) == [(d, m) for d in range(1, n + 1) for m in range(1 << d)]
