@@ -19,8 +19,9 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .dynkin import dynkin_substitute, expand_commutators
-from .freealgebra import oracle_bch, oracle_log  # oracle_bch: perfbench/tracing.py wraps it
+# expand_commutators and oracle_bch: perfbench/tracing.py wraps them
+from .dynkin import _expand_lex, dynkin_substitute, expand_commutators
+from .freealgebra import oracle_bch, oracle_log
 from .output import (
     CACHE_ENV_VAR,
     RENDERERS,
@@ -29,8 +30,8 @@ from .output import (
     cache_load,
     cache_store,
 )
-from .series import Stages, bch_term, bch_term_multi, check_order, lex_lanes, term_uncached
-from .signedeval import build_table, build_tables, reconstruct_term, scan_nonvanishing
+from .series import Stages, check_order, lex_lanes, term_lanes, term_uncached
+from .signedeval import build_table, lattice_terms, reconstruct_term, scan_nonvanishing
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries
 
@@ -211,19 +212,24 @@ VERIFY_CAPS = {"oracle": 12, "multi": 6, "signed": 14, "dynkin": 18}
 
 
 def _verify_pairs(mode: str, limit: int) -> Iterator[tuple[NCSeries, NCSeries]]:
-    """(pipeline, reference) for orders 1..limit.  Each reference route but
-    dynkin runs once, at limit: the oracle's log truncated there holds every
-    lower order, and one lattice walk yields the tables of orders 1..limit."""
+    """(pipeline, reference) for orders 1..limit, each route but the oracle
+    as graded-lex integer numerators over one denominator per order.  Each
+    reference runs once, at limit: the oracle's log truncated there holds
+    every lower order, one lattice walk reads every lane of orders 1..limit,
+    and Dynkin-Specht-Wever expands the pipeline's own numerators."""
+    m = 3 if mode == "multi" else 2
+    alphabet, orders = Alphabet.default(m), range(1, limit + 1)
+    lanes = [term_lanes(n, m) for n in orders]
     if mode in ("oracle", "multi"):
-        m = 2 if mode == "oracle" else 3
         log = oracle_log(limit, m, [SeriesSpec.exponential(limit)] * m)
-        yield from ((bch_term_multi(n, m), log.homogeneous_slice(n)) for n in range(1, limit + 1))
+        references = (log.homogeneous_slice(n) for n in orders)
     elif mode == "signed":
-        tables = build_tables(limit, "symmetry", low=1)
-        yield from ((bch_term(t.n), reconstruct_term(t.n, t)) for t in tables)
+        references = (NCSeries.from_lex(alphabet, n, *t) for n, t in zip(orders, lattice_terms(limit)))
     else:
-        for z in map(bch_term, range(1, limit + 1)):
-            yield z, expand_commutators(dynkin_substitute(z), z.alphabet)
+        references = (NCSeries.from_lex(alphabet, n, den * n, _expand_lex(nums, m, n))
+                      for n, (den, nums) in zip(orders, lanes))
+    for n, ours, reference in zip(orders, lanes, references):
+        yield NCSeries.from_lex(alphabet, n, *ours), reference
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -13,7 +13,9 @@ k+1..j shifts a lane by f (m^k + ... + m^{j-1}) lanes.  Graded-lex order
 reads the digits the other way round, position 1 most significant, so the
 unpack visits the lanes through a digit-reversal index and ``lex_lanes``
 hands out each word's integer numerator in the order the output prints
-them, with no word tuples and no sort.  The matrix route
+them, with no word tuples and no sort.  The term memo holds only those
+ints, per order and series, and each call decodes a fresh ``NCSeries``
+from them, so no caller can edit another's term.  The matrix route
 (build_factor_matrix, mat_mul, log_upper_right, t_operator) is the
 reference the tests compare against.
 """
@@ -168,10 +170,15 @@ def lex_lanes(n: int, f_list: Sequence[SeriesSpec], stages: Stages | None = None
 
 
 @cache
-def _term(n: int, f_list: tuple[SeriesSpec, ...], alphabet: Alphabet) -> NCSeries:
-    if len(f_list) != alphabet.size:
-        raise ValueError(f"{len(f_list)} factors need {len(f_list)} letters, alphabet has {alphabet.size}")
-    return NCSeries.from_lex(alphabet, n, *lex_lanes(n, f_list))
+def _lanes(n: int, f_list: tuple[SeriesSpec, ...]) -> tuple[int, tuple[int, ...]]:
+    den, nums = lex_lanes(n, f_list)
+    return den, tuple(nums)
+
+
+def term_lanes(n: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """The memoized ``lex_lanes`` of the order-n term of m exponentials."""
+    check_order(n, m)
+    return _lanes(n, (SeriesSpec.exponential(n),) * m)
 
 
 def bch_term(n: int, alphabet: Alphabet | None = None) -> NCSeries:
@@ -195,14 +202,18 @@ def logf_term(
     Per-factor series generalize the common-f product; with every series
     equal to exp this coincides with bch_term_multi.
     """
-    return _term(n, tuple(f_list), alphabet or Alphabet.default(len(f_list)))
+    f_list = tuple(f_list)
+    alphabet = alphabet or Alphabet.default(len(f_list))
+    if len(f_list) != alphabet.size:
+        raise ValueError(f"{len(f_list)} factors need {len(f_list)} letters, alphabet has {alphabet.size}")
+    return NCSeries.from_lex(alphabet, n, *_lanes(n, f_list))
 
 
 def clear_term_cache() -> None:
     """Drop memoized terms (benchmarking support)."""
-    _term.cache_clear()
+    _lanes.cache_clear()
 
 
 def term_uncached(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
     """One full pipeline run bypassing the memo cache (benchmarking support)."""
-    return _term.__wrapped__(n, tuple(f_list), alphabet or Alphabet.default(len(f_list)))
+    return NCSeries.from_lex(alphabet or Alphabet.default(len(f_list)), n, *lex_lanes(n, f_list))

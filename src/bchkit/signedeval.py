@@ -21,7 +21,7 @@ the leading (d+1) x (d+1) block of the order-n product is the order-d one.
 So one kernel fills entry d for every prefix of d signs at once, each a
 lane of one packed int indexed by its prefix products P_t, and these are
 the order-d assignments: a scan of orders 1..n is one run, as are the
-tables verify reconstructs.  The top order splits into subtrees of at most
+terms verify reconstructs.  The top order splits into subtrees of at most
 2**12 lanes, run here or on one pool of processes per call; a prefix
 shorter than the subtrees' depth comes only from the subtree rooted at it.
 Each order comes back as integer numerators over L_d d!, with no Fraction.
@@ -41,7 +41,7 @@ from typing import Sequence
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
-Lanes = tuple[int, int, list[int], list[int]]  # (order, denominator, masks, numerators)
+Lanes = tuple[int, int, Sequence[int], list[int]]  # (order, denominator, masks, numerators)
 POOL_MIN_MASKS = 1 << 16  # below this many top-order masks, the kernel costs less than a pool
 SUBTREE_LANES = 1 << 12  # top-order lanes of one job: bounds its memory
 
@@ -57,6 +57,8 @@ def _reverse_mask(n: int, mask: int) -> int:
 
 def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
     """Exact value of the (1, n+1) log entry at one +-1 assignment (one-lane walk)."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     signs = tuple(signs)
     if len(signs) != n:
         raise ValueError(f"expected {n} signs, got {len(signs)}")
@@ -148,10 +150,11 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[Lanes]:
 
 def _lattice(n: int, workers: int | None, low: int | None = None) -> list[Lanes]:
     """Every subtree's lanes, joined per order low..n (low defaults to n),
-    ascending.  Order n runs as low-bit subtrees of at most SUBTREE_LANES
-    masks, so memory is bounded whatever n is: on min(workers, cpu count)
-    processes, two or more subtrees each, if it has max(4 * workers,
-    POOL_MIN_MASKS) masks, else here.  Mask ranges would redo shared prefixes."""
+    ascending, as (d, L d!, range(2**d), numerators by mask).  Order n runs
+    as low-bit subtrees of at most SUBTREE_LANES masks, so memory is bounded
+    whatever n is: on min(workers, cpu count) processes, two or more
+    subtrees each, if it has max(4 * workers, POOL_MIN_MASKS) masks, else
+    here.  Mask ranges would redo shared prefixes."""
     workers = min(workers or 1, os.cpu_count() or 1)
     pooled = workers > 1 and 1 << n >= max(4 * workers, POOL_MIN_MASKS)
     depth = max(n + 1 - SUBTREE_LANES.bit_length(), (2 * workers - 1).bit_length() if pooled else 0)
@@ -164,9 +167,11 @@ def _lattice(n: int, workers: int | None, low: int | None = None) -> list[Lanes]
         parts = map(_walk, *jobs)
     orders: dict[int, Lanes] = {}  # root 0 comes first and emits every order, ascending
     for d, den, masks, nums in chain.from_iterable(parts):
-        joined = orders.setdefault(d, (d, den, [], []))
-        joined[2].extend(masks)
-        joined[3].extend(nums)
+        if d not in orders:
+            orders[d] = (d, den, range(1 << d), [0] * (1 << d))
+        joined = orders[d][3]
+        for mask, num in zip(masks, nums):
+            joined[mask] = num
     return list(orders.values())
 
 
@@ -194,9 +199,8 @@ class SignedCoefficientTable:
 PRUNING_MODES = ("none", "symmetry")
 
 
-def build_tables(n: int, pruning: str = "none", workers: int | None = None,
-                 low: int | None = None) -> list[SignedCoefficientTable]:
-    """Evaluate the sign lattice of orders low..n (low defaults to n) in one walk.
+def build_table(n: int, pruning: str = "none", workers: int | None = None) -> SignedCoefficientTable:
+    """Evaluate the order-n sign lattice.
 
     pruning="none" evaluates every assignment directly.
     pruning="symmetry" records even-plus-count assignments as zero without
@@ -207,24 +211,26 @@ def build_tables(n: int, pruning: str = "none", workers: int | None = None,
         raise ValueError(f"order must be >= 1, got {n}")
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
-    if low is not None and not 1 <= low <= n:
-        raise ValueError(f"lowest order must be in 1..{n}, got {low}")
-    tables = []
-    for d, den, masks, nums in _lattice(n, workers, low):
-        values = [Fraction(0)] * (1 << d)
-        for mask, num in zip(masks, nums):
-            if pruning == "none":
-                values[mask] = Fraction(num, den)
-            elif _odd_plus(d, mask) and mask <= (partner := _reverse_mask(d, mask)):
-                values[partner] = (-1) ** (d - 1) * (value := Fraction(num, den))
-                values[mask] = value
-        tables.append(SignedCoefficientTable(d, values))
-    return tables
+    [(_, den, masks, nums)] = _lattice(n, workers)
+    values = [Fraction(0)] * (1 << n)
+    for mask, num in zip(masks, nums):
+        if pruning == "none":
+            values[mask] = Fraction(num, den)
+        elif _odd_plus(n, mask) and mask <= (partner := _reverse_mask(n, mask)):
+            values[partner] = (-1) ** (n - 1) * (value := Fraction(num, den))
+            values[mask] = value
+    return SignedCoefficientTable(n, values)
 
 
-def build_table(n: int, pruning: str = "none", workers: int | None = None) -> SignedCoefficientTable:
-    """The order-n table: the one-order case of ``build_tables``."""
-    return build_tables(n, pruning, workers)[0]
+def _transform(n: int, den: int, t: list[int]) -> tuple[int, list[int]]:
+    """(den 2**n, graded-lex numerators) of the order-n term whose table
+    holds t[mask] / den: the Walsh-Hadamard transform on ints.  Each pass
+    transforms the lowest index bit and rotates it to the top."""
+    for _ in range(n):
+        even, odd = t[0::2], t[1::2]
+        t = [*map(add, even, odd), *map(sub, even, odd)]
+    # bit i of t's index is position i+1; graded-lex puts position 1 on top
+    return den << n, [t[_reverse_mask(n, k)] for k in range(1 << n)]
 
 
 def reconstruct_term(
@@ -242,16 +248,19 @@ def reconstruct_term(
     if not table.is_complete():
         raise ValueError(f"table incomplete: {len(table.values)} of {1 << n} assignments")
     alphabet = alphabet or Alphabet.default(2)
-    # one common denominator, so the butterflies run on ints; each pass
-    # transforms the lowest index bit and rotates it to the top
+    # one common denominator, so the butterflies run on ints
     den = lcm(*(v.denominator for v in table.values))
     t = [v.numerator * (den // v.denominator) for v in table.values]
-    for _ in range(n):
-        even, odd = t[0::2], t[1::2]
-        t = [*map(add, even, odd), *map(sub, even, odd)]
-    # bit i of t's index is position i+1; graded-lex puts position 1 on top
-    nums = [t[_reverse_mask(n, k)] for k in range(1 << n)]
-    return NCSeries.from_lex(alphabet, n, den << n, nums)
+    return NCSeries.from_lex(alphabet, n, *_transform(n, den, t))
+
+
+def lattice_terms(n: int) -> list[tuple[int, list[int]]]:
+    """(denominator, graded-lex numerators) of the terms of orders 1..n,
+    from one walk of the lattice.  Every lane is read, the even-plus ones
+    the symmetry rules would write down as zero too."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    return [_transform(d, den, nums) for d, den, _, nums in _lattice(n, None, 1)]
 
 
 @dataclass
@@ -277,7 +286,7 @@ def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport
         raise ValueError(f"order must be >= 1, got {n_max}")
     reports = []
     for n, _, masks, nums in _lattice(n_max, workers, low=1):
-        zeros = sorted(mask for mask, num in zip(masks, nums) if not num and _odd_plus(n, mask))
+        zeros = [mask for mask, num in zip(masks, nums) if not num and _odd_plus(n, mask)]
         structural = int(n > 1 and n % 2 == 1 and zeros[:1] == [0])  # all-plus is mask 0
         unexpected = [_mask_signs(n, mask) for mask in zeros[structural:]]
         evaluated = len(masks) >> 1  # half of the n-bit masks have an odd +1 count

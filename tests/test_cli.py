@@ -13,7 +13,7 @@ import pytest
 
 from bchkit import __version__, cli, output, series, signedeval
 from bchkit.cli import main
-from bchkit.words import NCSeries
+from bchkit.words import Alphabet, NCSeries
 
 
 @pytest.fixture(autouse=True)
@@ -379,19 +379,18 @@ class TestVerify:
         # the signed route returns z_4 with each changed word's coefficient
         # raised by 1/7: verify stops there with exit 2 and names the first of
         # them in graded-lex order, whatever order they were changed in
-        reconstruct = cli.reconstruct_term
+        lattice_terms = cli.lattice_terms
 
-        def perturbed(n, table):
-            z = reconstruct(n, table)
-            if n != 4:
-                return z
-            terms = dict(z.terms)
+        def perturbed(n_max):
+            terms = lattice_terms(n_max)
+            den, nums = terms[3]  # order 4, over 7 den from here on
+            nums = [7 * c for c in nums]
             for name in changed:
-                word = z.alphabet.parse_word(name)
-                terms[word] = z.coefficient(word) + Fraction(1, 7)
-            return NCSeries(z.alphabet, n, terms)
+                nums[int(name.replace("x", "0").replace("y", "1"), 2)] += den  # its graded-lex index
+            terms[3] = 7 * den, nums
+            return terms
 
-        monkeypatch.setattr(cli, "reconstruct_term", perturbed)
+        monkeypatch.setattr(cli, "lattice_terms", perturbed)
         code, out, _ = run(capsys, "verify", "6", "--modes", "signed")
         first = min(changed)
         expected = series.bch_term(4).coefficient(tuple("xy".index(c) for c in first))
@@ -400,6 +399,59 @@ class TestVerify:
             f"FAIL signed n=4: word {first}: pipeline {expected}, reference {expected + Fraction(1, 7)}"
         ]
         assert out.splitlines()[:3] == [f"ok signed n={n} ({len(series.bch_term(n).terms)} words)" for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("mode, order, word", [("oracle", 3, "xyy"), ("multi", 2, "wx"), ("dynkin", 5, "xyxyy")])
+    def test_every_route_fails_on_its_first_differing_word(self, capsys, monkeypatch, mode, order, word):
+        # one word of one order raised on the reference side: the oracle log
+        # by 1/7, the Dynkin expansion by one unit of its denominator
+        m = 3 if mode == "multi" else 2
+        w = Alphabet.default(m).parse_word(word)
+        _, passing, _ = run(capsys, "verify", "6", "--modes", mode)
+        if mode == "dynkin":
+            expand, delta = cli._expand_lex, Fraction(1, series.term_lanes(order, m)[0] * order)
+            index = int("".join(map(str, w)), m)  # graded-lex: the word's letters as base-m digits
+
+            def perturbed(nums, letters, k):
+                return [c + (k == order and i == index) for i, c in enumerate(expand(nums, letters, k))]
+
+            monkeypatch.setattr(cli, "_expand_lex", perturbed)
+        else:
+            oracle_log, delta = cli.oracle_log, Fraction(1, 7)
+
+            def perturbed(*args):
+                log = oracle_log(*args)
+                log.terms[w] = log.coefficient(w) + delta
+                return log
+
+            monkeypatch.setattr(cli, "oracle_log", perturbed)
+        code, out, _ = run(capsys, "verify", "6", "--modes", mode)
+        expected = series.bch_term_multi(order, m).coefficient(w)
+        assert code == 2
+        assert out.splitlines() == [
+            *passing.splitlines()[: order - 1],
+            f"FAIL {mode} n={order}: word {word}: pipeline {expected}, reference {expected + delta}",
+        ]
+
+    def test_signed_route_reads_the_even_plus_lanes(self, capsys, monkeypatch):
+        # the all-minus assignment of order 5 has no +1, an even count, so the
+        # lattice gives it 0 and a symmetry table would write 0 without reading it
+        lattice = signedeval._lattice
+
+        def raised(*args):
+            lanes = lattice(*args)
+            [(_, den, masks, nums)] = [order for order in lanes if order[0] == 5]
+            nums[masks.index(0b11111)] += 1
+            return lanes
+
+        monkeypatch.setattr(signedeval, "_lattice", raised)
+        code, out, _ = run(capsys, "verify", "6", "--modes", "signed")
+        assert code == 2
+        # raising one assignment by 1/den, den = lcm(1..5) 5!, moves every word
+        # by 1/(2**5 den); the first is xxxxx, whose coefficient in z_5 is 0
+        assert out.splitlines() == [
+            *(f"ok signed n={n} ({len(series.bch_term(n).terms)} words)" for n in range(1, 5)),
+            f"FAIL signed n=5: word xxxxx: pipeline 0, reference {Fraction(1, 2**5 * 60 * 120)}",
+        ]
 
     def test_each_route_runs_once_at_its_top_order(self, capsys, monkeypatch):
         # every order is a slice of one oracle log per oracle mode and one

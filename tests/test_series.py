@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bchkit import series as series_module
 from bchkit.freealgebra import oracle_bch
 from bchkit.multilinear import MultilinearPoly, mono_from_positions
-from bchkit.series import bch_term, bch_term_multi, logf_term, t_operator
+from bchkit.series import bch_term, bch_term_multi, clear_term_cache, logf_term, t_operator, term_lanes
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet, NCSeries
 
@@ -78,13 +78,47 @@ class TestBchTerm:
         with pytest.raises(ValueError):
             bch_term(-3)
 
-    def test_repeat_calls_memoized(self):
-        assert bch_term(5) is bch_term(5)
+    @staticmethod
+    def kernel_runs(monkeypatch):
+        # the (order, series) of every lex_lanes run the memo makes, from an empty memo
+        runs = []
+        kernel = series_module.lex_lanes
+        monkeypatch.setattr(series_module, "lex_lanes", lambda n, f_list: runs.append((n, f_list)) or kernel(n, f_list))
+        clear_term_cache()
+        return runs
 
-    def test_memo_shared_by_equal_series(self):
+    def test_repeat_calls_memoized(self, monkeypatch):
+        runs = self.kernel_runs(monkeypatch)
+        assert bch_term(5) == bch_term(5) == bch_term_multi(5, 2)
+        den, nums = term_lanes(5, 2)
+        assert type(nums) is tuple  # nobody can edit the memo in place
+        assert len(runs) == 1
+
+    def test_memo_shared_by_equal_series(self, monkeypatch):
+        runs = self.kernel_runs(monkeypatch)
         f11 = SeriesSpec.from_coeffs([1, 1])
         f1100 = SeriesSpec.from_coeffs([1, 1, 0, 0])
-        assert logf_term(3, [f1100, f1100]) is logf_term(3, [f11, f11])
+        z = logf_term(3, [f1100, f1100])
+        assert z == logf_term(3, [f11, f11])
+        # the letters are not part of the key: they only name the decoded words
+        ab = logf_term(3, [f11, f11], Alphabet.from_names("ab"))
+        assert str(ab) == str(z).replace("x", "a").replace("y", "b")
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bch_term(5),
+            lambda: logf_term(3, [ONE_PLUS_T, SeriesSpec.exponential(3)]),
+            lambda: NCSeries.from_lex(A2, 4, *term_lanes(4, 2)),
+        ],
+        ids=["bch_term", "logf_term", "term_lanes"],
+    )
+    def test_editing_a_result_leaves_the_memo_alone(self, call):
+        first = call()
+        expected = dict(first.terms)
+        first.terms.clear()
+        assert call().terms == expected
 
     def test_custom_letters(self):
         ab = Alphabet(("a", "b"))

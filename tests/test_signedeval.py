@@ -22,14 +22,16 @@ from bchkit.signedeval import (
     _reverse_mask,
     _walk,
     build_table,
-    build_tables,
     eval_assignment,
+    lattice_terms,
     reconstruct_term,
     scan_nonvanishing,
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
-from bchkit.words import Alphabet
+from bchkit.words import Alphabet, NCSeries
 from helpers import eval_assignment_reference, lane_leaves
+
+A2 = Alphabet.default(2)
 
 
 def all_assignments(n):
@@ -54,6 +56,12 @@ class TestEvalAssignment:
             eval_assignment(2, (1, 0))
         with pytest.raises(ValueError):
             eval_assignment(2, (1,))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_validation(self, n):
+        # refused like build_table(0) and scan_nonvanishing(0), before the signs are counted
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {n}$"):
+            eval_assignment(n, ())
 
     @pytest.mark.parametrize("n", [*range(1, 7), 11, 12])
     def test_agrees_with_symbolic_evaluation(self, n):
@@ -255,14 +263,20 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("pruning", PRUNING_MODES)
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_tables_of_every_order_from_one_walk(self, pruning, n):
-        assert build_tables(n, pruning, low=1) == tables_per_order(pruning)[:n]
-        assert build_tables(n, pruning) == [build_table(n, pruning)]
+    def test_tables_of_every_order_from_one_walk(self, monkeypatch, pruning, n):
+        # lattice_terms reads orders 1..n off one walk; each equals the
+        # reconstruction of that order's own table
+        calls = []
+        lattice = signedeval._lattice
+        monkeypatch.setattr(signedeval, "_lattice", lambda *args: calls.append(args) or lattice(*args))
+        terms = [NCSeries.from_lex(A2, d, *lanes) for d, lanes in enumerate(lattice_terms(n), 1)]
+        assert calls == [(n, None, 1)]
+        assert terms == [reconstruct_term(t.n, t) for t in tables_per_order(pruning)[:n]]
 
     def test_lowest_order_validation(self):
-        for low in (0, 5):
-            with pytest.raises(ValueError, match="lowest order"):
-                build_tables(4, low=low)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                lattice_terms(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pruned_equals_unpruned(self, n):
@@ -462,7 +476,7 @@ class TestWorkerCap:
 
         monkeypatch.setattr(signedeval, "_walk", recording)
         scan_nonvanishing(9, workers=2)
-        build_tables(8, "symmetry", 2, low=1)
+        signedeval._lattice(8, 2, 1)
         assert len(returned) == sum(len(jobs) for _, maps in pools for jobs in maps) > 0
 
         def atoms(x):
@@ -484,9 +498,11 @@ class TestWorkerCap:
     @pytest.mark.parametrize("n", range(3, 13))  # 2**2 masks are below 4 per worker
     def test_tables_of_every_order_on_the_fake_pool(self, monkeypatch, pools, pruning, n):
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
-        assert build_tables(n, pruning, 2, low=1) == tables_per_order(pruning)[:n]
+        per_order = sorted(leaf for d in range(1, n + 1) for leaf in lane_leaves(_walk(d, 0, 0)))
+        assert sorted(lane_leaves(signedeval._lattice(n, 2, 1))) == per_order
         # one pool and one map for every order
         assert [len(maps) for _, maps in pools] == [1]
+        assert build_table(n, pruning, 2) == tables_per_order(pruning)[n - 1]
 
     def test_scan_opens_one_pool(self, monkeypatch, pools):
         monkeypatch.setattr(signedeval.os, "cpu_count", lambda: 2)
