@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: term (compute one order), verify (cross-check the independent
-routes, each run once at its top order), scan (nonvanishing census of the
-sign lattice), bench (timing).
+routes, each run once at its top order, on integer numerators per order),
+scan (nonvanishing census of the sign lattice), bench (timing).
 Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 invalid arguments (including orders over the series.MAX_WORDS
 size limit), 2 verification mismatch, 3 I/O failure.
@@ -15,6 +15,8 @@ import functools
 import sys
 import time
 from fractions import Fraction
+from itertools import compress, count, islice, product, repeat
+from operator import mul, ne
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -197,39 +199,35 @@ def _stats_report(stages: Stages, cache: str, words: int) -> str:
     return "\n".join([head, *laps])
 
 
-def _first_diff(a: NCSeries, b: NCSeries) -> tuple[tuple[int, ...], Fraction, Fraction] | None:
-    if a.terms == b.terms:  # every passing check: no per-word lookups
-        return None
-    diff = (w for w in a.terms.keys() | b.terms.keys() if a.coefficient(w) != b.coefficient(w))
-    word = min(diff, key=lambda w: (len(w), w))  # graded-lex; zero-free terms, so some word differs
-    return word, a.coefficient(word), b.coefficient(word)
-
-
 # Per-mode order caps: the oracle's cost grows like m**n and the signed
 # route evaluates 2**n sign assignments, so each route has a practical ceiling.
 VERIFY_MODES = ("oracle", "multi", "signed", "dynkin")
-VERIFY_CAPS = {"oracle": 12, "multi": 6, "signed": 14, "dynkin": 18}
+VERIFY_CAPS = {"oracle": 12, "multi": 6, "signed": 14, "dynkin": 20}
+Lanes = tuple[int, Sequence[int]]  # one order: a denominator and graded-lex numerators over it
 
 
-def _verify_pairs(mode: str, limit: int) -> Iterator[tuple[NCSeries, NCSeries]]:
-    """(pipeline, reference) for orders 1..limit, each route but the oracle
-    as graded-lex integer numerators over one denominator per order.  Each
-    reference runs once, at limit: the oracle's log truncated there holds
-    every lower order, one lattice walk reads every lane of orders 1..limit,
-    and Dynkin-Specht-Wever expands the pipeline's own numerators."""
-    m = 3 if mode == "multi" else 2
-    alphabet, orders = Alphabet.default(m), range(1, limit + 1)
+def _first_diff(den: int, a: Sequence[int], den_ref: int, b: Sequence[int]) -> int | None:
+    """Index of the first lane where a[k] / den != b[k] / den_ref, cross-multiplied; else None."""
+    if len(a) != len(b):  # a prefix must never pass for the whole order
+        raise ValueError(f"{len(a)} pipeline numerators against {len(b)} reference numerators")
+    return next(compress(count(), map(ne, map(mul, a, repeat(den_ref)), map(mul, b, repeat(den)))), None)
+
+
+def _verify_pairs(mode: str, limit: int, m: int) -> Iterator[tuple[Lanes, Lanes]]:
+    """(pipeline, reference) lanes of orders 1..limit.  Each reference runs
+    once, at limit: the oracle's log truncated there holds every lower order,
+    one lattice walk reads every lane of orders 1..limit, and
+    Dynkin-Specht-Wever expands the pipeline's own numerators."""
+    orders = range(1, limit + 1)
     lanes = [term_lanes(n, m) for n in orders]
     if mode in ("oracle", "multi"):
         log = oracle_log(limit, m, [SeriesSpec.exponential(limit)] * m)
-        references = (log.homogeneous_slice(n) for n in orders)
+        references = (log.to_lex(n) for n in orders)
     elif mode == "signed":
-        references = (NCSeries.from_lex(alphabet, n, *t) for n, t in zip(orders, lattice_terms(limit)))
+        references = lattice_terms(limit)
     else:
-        references = (NCSeries.from_lex(alphabet, n, den * n, _expand_lex(nums, m, n))
-                      for n, (den, nums) in zip(orders, lanes))
-    for n, ours, reference in zip(orders, lanes, references):
-        yield NCSeries.from_lex(alphabet, n, *ours), reference
+        references = ((den * n, _expand_lex(nums, m, n)) for n, (den, nums) in zip(orders, lanes))
+    return zip(lanes, references)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -255,16 +253,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         limit = min(args.n_max, VERIFY_CAPS[mode])
         if limit < args.n_max:
             print(f"note: {mode} capped at n={limit}", file=sys.stderr)
-        for n, (ours, reference) in enumerate(_verify_pairs(mode, limit), 1):
-            diff = _first_diff(ours, reference)
-            if diff is not None:
-                word, ca, cb = diff
-                print(
-                    f"FAIL {mode} n={n}: word {ours.alphabet.word_str(word)}: "
-                    f"pipeline {ca}, reference {cb}"
-                )
+        m = 3 if mode == "multi" else 2
+        for n, ((den, a), (den_ref, b)) in enumerate(_verify_pairs(mode, limit, m), 1):
+            if (k := _first_diff(den, a, den_ref, b)) is not None:  # only now a word and Fractions
+                word = "".join(next(islice(product(Alphabet.default(m).letters, repeat=n), k, None)))
+                print(f"FAIL {mode} n={n}: word {word}: pipeline {Fraction(a[k], den)}, "
+                      f"reference {Fraction(b[k], den_ref)}")
                 return 2
-            print(f"ok {mode} n={n} ({len(ours.terms)} words)")
+            print(f"ok {mode} n={n} ({len(a) - a.count(0)} words)")
     print("all checks passed")
     return 0
 

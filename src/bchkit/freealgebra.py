@@ -122,4 +122,4 @@ def oracle_log(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | No
 
 def oracle_bch(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
     """Degree-n slice of log(f_0(a_0) f_1(a_1) ...) by direct expansion."""
-    return oracle_log(n, m, f_list, alphabet).homogeneous_slice(n)
+    return NCSeries.from_lex(alphabet or Alphabet.default(m), n, *oracle_log(n, m, f_list, alphabet).to_lex(n))

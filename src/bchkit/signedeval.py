@@ -51,8 +51,11 @@ def _mask_signs(n: int, mask: int) -> SignAssignment:
     return tuple(-1 if (mask >> i) & 1 else 1 for i in range(n))
 
 
-def _reverse_mask(n: int, mask: int) -> int:
-    return int(f"{mask:0{n}b}"[::-1], 2)
+def _reversal(n: int) -> list[int]:
+    rev = [0]  # rev[mask]: the n bits of mask in reverse order, one doubling per bit
+    for _ in range(n):
+        rev = [2 * x for x in rev] + [2 * x + 1 for x in rev]
+    return rev
 
 
 def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
@@ -212,11 +215,11 @@ def build_table(n: int, pruning: str = "none", workers: int | None = None) -> Si
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
     [(_, den, masks, nums)] = _lattice(n, workers)
-    values = [Fraction(0)] * (1 << n)
+    values, rev = [Fraction(0)] * (1 << n), _reversal(n)
     for mask, num in zip(masks, nums):
         if pruning == "none":
             values[mask] = Fraction(num, den)
-        elif _odd_plus(n, mask) and mask <= (partner := _reverse_mask(n, mask)):
+        elif _odd_plus(n, mask) and mask <= (partner := rev[mask]):
             values[partner] = (-1) ** (n - 1) * (value := Fraction(num, den))
             values[mask] = value
     return SignedCoefficientTable(n, values)
@@ -229,8 +232,7 @@ def _transform(n: int, den: int, t: list[int]) -> tuple[int, list[int]]:
     for _ in range(n):
         even, odd = t[0::2], t[1::2]
         t = [*map(add, even, odd), *map(sub, even, odd)]
-    # bit i of t's index is position i+1; graded-lex puts position 1 on top
-    return den << n, [t[_reverse_mask(n, k)] for k in range(1 << n)]
+    return den << n, [t[k] for k in _reversal(n)]  # mask bit 0 is position 1, graded-lex's top digit
 
 
 def reconstruct_term(

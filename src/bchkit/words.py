@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .multilinear import ExactCombination, Rational
@@ -108,18 +109,19 @@ class NCSeries(ExactCombination):
         result.terms = {w: values[c] for w, c in zip(words, filter(None, nums))}
         return result
 
+    def to_lex(self, degree: int) -> tuple[int, list[int]]:
+        """What ``from_lex`` reads back as the words of length ``degree``: the lcm
+        of their denominators and every one's numerator over it, zeros included."""
+        coeffs = [self.terms.get(w, 0) for w in product(range(self.alphabet.size), repeat=degree)]
+        den = lcm(*(c.denominator for c in coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
     def coefficient(self, word: Word) -> Fraction:
         return self.terms.get(tuple(word), Fraction(0))
 
     def items_sorted(self) -> list[tuple[Word, Fraction]]:
         """Graded-lexicographic: by length, then by letter indices."""
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def homogeneous_slice(self, degree: int) -> "NCSeries":
-        """The words of length exactly ``degree``, as a degree-``degree`` series."""
-        return NCSeries(
-            self.alphabet, degree, {w: c for w, c in self.terms.items() if len(w) == degree}
-        )
 
     def _shape(self) -> tuple[Alphabet, int]:
         return (self.alphabet, self.max_degree)

@@ -472,13 +472,71 @@ class TestVerify:
         assert calls == [("oracle_log", 9), ("oracle_log", 6), ("_lattice", 9)]
         assert out.count("ok ") == 9 + 6 + 9 + 9
 
-    def test_dynkin_cap_is_eighteen(self, capsys):
+    def test_dynkin_cap_is_twenty(self, capsys):
         code, out, _ = run(capsys, "verify", "14", "--modes", "dynkin")
         assert code == 0
         assert "ok dynkin n=14 (8188 words)" in out
-        code, out, err = run(capsys, "verify", "19", "--modes", "dynkin")
+        code, out, err = run(capsys, "verify", "21", "--modes", "dynkin")
         assert (code, out) == (1, "")
-        assert "n <= 18" in err
+        assert "n <= 20" in err
+
+    def test_passing_verify_decodes_no_words(self, capsys, monkeypatch):
+        # both sides of every order are compared as integer lanes: a pass
+        # never turns them into an NCSeries
+        decoded = []
+        from_lex = NCSeries.from_lex.__func__
+
+        def counting(cls, alphabet, degree, den, nums):
+            decoded.append(degree)
+            return from_lex(cls, alphabet, degree, den, nums)
+
+        monkeypatch.setattr(NCSeries, "from_lex", classmethod(counting))
+        code, out, _ = run(capsys, "verify", "9")
+        assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+        assert decoded == []
+
+    def test_lanes_are_compared_as_values_over_their_denominators(self, capsys, monkeypatch):
+        # a reference over 7 den with 7 nums is the same term; one unit more
+        # on one lane is a different one, named by its word
+        _, passing, _ = run(capsys, "verify", "6", "--modes", "signed")
+        lattice_terms = cli.lattice_terms
+
+        def scaled(raised):
+            def perturbed(n_max):
+                terms = [(7 * den, [7 * c for c in nums]) for den, nums in lattice_terms(n_max)]
+                terms[4][1][0b01101] += raised  # order 5, graded-lex index of xyyxy
+                return terms
+
+            return perturbed
+
+        monkeypatch.setattr(cli, "lattice_terms", scaled(0))
+        assert run(capsys, "verify", "6", "--modes", "signed") == (0, passing, "")
+        monkeypatch.setattr(cli, "lattice_terms", scaled(1))
+        code, out, _ = run(capsys, "verify", "6", "--modes", "signed")
+        den, nums = series.term_lanes(5, 2)
+        expected = Fraction(nums[0b01101], den)
+        assert code == 2
+        assert out.splitlines() == [
+            *passing.splitlines()[:4],
+            f"FAIL signed n=5: word xyyxy: pipeline {expected}, reference {expected + Fraction(1, 7 * 32 * den)}",
+        ]
+
+    def test_a_reference_one_lane_short_is_refused(self, capsys, monkeypatch):
+        # lanes are never compared on a common prefix: order 3 with 7 of its
+        # 8 lanes is an error naming both counts, not a pass
+        lattice_terms = cli.lattice_terms
+
+        def short(n_max):
+            terms = lattice_terms(n_max)
+            den, nums = terms[2]
+            terms[2] = den, nums[:-1]
+            return terms
+
+        monkeypatch.setattr(cli, "lattice_terms", short)
+        code, out, err = run(capsys, "verify", "6", "--modes", "signed")
+        assert code == 1
+        assert out.splitlines() == ["ok signed n=1 (2 words)", "ok signed n=2 (2 words)"]
+        assert err == "error: 8 pipeline numerators against 7 reference numerators\n"
 
     def test_default_modes_clamp_with_note(self, capsys):
         code, out, err = run(capsys, "verify", "7")

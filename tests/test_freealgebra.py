@@ -36,6 +36,11 @@ def one(cap):
     return NCSeries(A2, cap, {(): 1})
 
 
+def degree_slice(s, degree):
+    """The words of ``s`` of length exactly ``degree``, as a degree-``degree`` series."""
+    return NCSeries(s.alphabet, degree, {w: c for w, c in s.terms.items() if len(w) == degree})
+
+
 class TestNcMul:
     def test_single_letters_concatenate(self):
         assert nc_mul(x(2), y(2)).terms == {(0, 1): 1}
@@ -179,7 +184,7 @@ class TestExpLog:
 
     def test_degree_two_slice_of_log_product(self):
         z = nc_log(nc_mul(nc_exp(x(2)), nc_exp(y(2))))
-        assert z.homogeneous_slice(2) == NCSeries(
+        assert degree_slice(z, 2) == NCSeries(
             A2, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
         )
 
@@ -244,7 +249,7 @@ class TestOracleBch:
         exp = SeriesSpec.exponential(n)
         via_coeffs = oracle_bch(n, 2, [exp, exp])
         product = nc_mul(nc_exp(x(n)), nc_exp(y(n)))
-        via_exp = nc_log(product).homogeneous_slice(n)
+        via_exp = degree_slice(nc_log(product), n)
         assert via_coeffs == via_exp
 
     def test_series_at_letter(self):
@@ -291,7 +296,7 @@ class TestOracleLog:
         assert log.max_degree == top
         assert {len(w) for w in log.terms} <= set(range(1, top + 1))
         for n in range(1, top + 1):
-            assert log.homogeneous_slice(n) == oracle_bch(n, m, specs), f"n={n}"
+            assert degree_slice(log, n) == oracle_bch(n, m, specs), f"n={n}"
 
     def test_argument_validation(self):
         exp = SeriesSpec.exponential(2)
@@ -303,3 +308,38 @@ class TestOracleLog:
             oracle_log(2, 3, [exp, exp])
         with pytest.raises(ValueError, match="letters"):
             oracle_log(2, 2, [exp, exp], A3)
+
+
+class TestToLex:
+    """to_lex reads one degree of a series as from_lex's (den, numerators)."""
+
+    @pytest.mark.parametrize("alphabet, degree", [(A2, 1), (A2, 4), (A3, 3)])
+    def test_inverts_from_lex(self, alphabet, degree):
+        rng = random.Random(degree)
+        size = alphabet.size**degree
+        for den in (1, 6, 35):
+            nums = [rng.choice((0, 0, 1, -3, rng.randint(-50, 50))) for _ in range(size)]
+            s = NCSeries.from_lex(alphabet, degree, den, nums)
+            lcm_den, lanes = s.to_lex(degree)
+            # the same values, over the lcm of their reduced denominators: a divisor of den
+            assert den % lcm_den == 0
+            assert [Fraction(c, lcm_den) for c in lanes] == [Fraction(c, den) for c in nums]
+            assert NCSeries.from_lex(alphabet, degree, lcm_den, lanes) == s
+
+    def test_zero_lanes(self):
+        assert NCSeries.zero(A2, 3).to_lex(3) == (1, [0] * 8)
+        assert NCSeries.from_lex(A3, 2, 5, [0] * 9).to_lex(2) == (1, [0] * 9)
+
+    def test_reads_one_degree_of_a_mixed_series(self):
+        # words of other lengths, the constant among them, are left out
+        s = NCSeries(A2, 3, {(): 4, (0,): Fraction(1, 3), (0, 1): Fraction(1, 2),
+                             (1, 0): Fraction(-1, 6), (1, 1, 0): 7})
+        assert s.to_lex(2) == (6, [0, 3, -1, 0])
+        assert s.to_lex(1) == (3, [1, 0])
+        assert s.to_lex(0) == (1, [4])
+        assert NCSeries.from_lex(A2, 2, *s.to_lex(2)) == degree_slice(s, 2)
+
+    def test_oracle_log_reads_back_through_it(self):
+        log = oracle_log(6, 3, [SeriesSpec.exponential(6)] * 3)
+        for n in range(1, 7):
+            assert NCSeries.from_lex(A3, n, *log.to_lex(n)) == bch_term_multi(n, 3)

@@ -19,7 +19,7 @@ from bchkit.signedeval import (
     SignedCoefficientTable,
     _mask_signs,
     _odd_plus,
-    _reverse_mask,
+    _reversal,
     _walk,
     build_table,
     eval_assignment,
@@ -36,6 +36,11 @@ A2 = Alphabet.default(2)
 
 def all_assignments(n):
     return itertools.product((1, -1), repeat=n)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_reversal_reads_each_mask_backwards(n):
+    assert _reversal(n) == [int(f"{m:0{n}b}"[::-1] or "0", 2) for m in range(1 << n)]
 
 
 class TestEvalAssignment:
@@ -299,7 +304,7 @@ class TestBuildTable:
         # every lane but one per reversal pair is made wrong: the symmetry
         # table must not read it, the unpruned table must
         odd_plus = [m for m in range(1 << n) if (n - m.bit_count()) % 2 == 1]
-        pairs = {min(m, _reverse_mask(n, m)) for m in odd_plus}
+        pairs = {min(m, int(f"{m:0{n}b}"[::-1], 2)) for m in odd_plus}  # m and its bits reversed
         exact = {pruning: build_table(n, pruning).values for pruning in PRUNING_MODES}
 
         def corrupted(*args):
