@@ -669,8 +669,11 @@ def test_stdout_matches_recorded_digest(capsys, command):
 # the same for orders past the benchmark's, three and four factors, --dynkin,
 # latex and json: "term 13", "term 14", "term 8 --factors 3" and "term 6
 # --factors 4" were recorded at commit b8583dd, from the matrix-product kernel
-# that the packed kernel replaced; the other five at commit 3a18888, from the
-# Fraction/NCSeries output path that rows built from the lanes replaced
+# that the packed kernel replaced; "term 8 --dynkin --format latex", "term 5
+# --factors 3 --series 1,1/2,-3 --dynkin" and "term 4 --letters a,é --dynkin
+# --format json" at commit 649e9f5, from the NCSeries/LieTerm bracket path that
+# bracket rows built from the lanes replaced; the other five at commit 3a18888,
+# from the Fraction/NCSeries output path that rows built from the lanes replaced
 TERM_DIGESTS = json.loads((Path(__file__).resolve().parent / "term_digests.json").read_text())
 
 
