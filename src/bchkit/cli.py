@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-# expand_commutators and oracle_bch: perfbench/tracing.py wraps them
+# dynkin_substitute, expand_commutators and oracle_bch: perfbench/tracing.py wraps them
 from .dynkin import _expand_lex, dynkin_substitute, expand_commutators
 from .freealgebra import oracle_bch, oracle_log
 from .output import (
@@ -164,13 +164,7 @@ def cmd_term(args: argparse.Namespace) -> int:
     cache = "off" if args.no_cache else "miss" if entry is None else "hit"
     if entry is None:
         den, nums = lex_lanes(args.n, specs, stages)
-        brackets = None
-        if args.dynkin:
-            brackets = dynkin_substitute(NCSeries.from_lex(alphabet, args.n, den, nums))
-            stages.lap("dynkin")
-        doc = OutputDocument.from_lex(
-            __version__, "term", args.n, series_names, alphabet, den, nums, brackets
-        )
+        doc = OutputDocument.from_lex(__version__, "term", args.n, series_names, alphabet, den, nums, args.dynkin)
         stages.lap("rows")
         entry = RENDERERS[args.format](doc), len(doc.terms)
         stages.lap("render")

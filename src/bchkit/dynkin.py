@@ -31,10 +31,15 @@ class LieTerm:
             raise ValueError("a Lie term needs at least one letter")
 
     def bracket_str(self, alphabet: Alphabet) -> str:
-        text = alphabet.letters[self.word[0]]
-        for i in self.word[1:]:
-            text = f"[{text},{alphabet.letters[i]}]"
-        return text
+        return left_normed([alphabet.letters[i] for i in self.word])
+
+
+def left_normed(letters: Sequence[str]) -> str:
+    """The bracket [[...[l_1,l_2],l_3]...,l_n] of a word's letters (a word
+    string will do), written in one pass: l_1 alone for one letter."""
+    if len(letters) == 1:
+        return letters[0]
+    return "[" * (len(letters) - 1) + letters[0] + "," + "],".join(letters[1:]) + "]"
 
 
 def dynkin_substitute(z: NCSeries) -> list[LieTerm]:

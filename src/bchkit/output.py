@@ -2,7 +2,9 @@
 
 A document stores coefficients as separate numerator and denominator
 strings so arbitrary-precision values survive any JSON consumer, and the
-payload keeps the canonical graded-lexicographic order.  The cache holds
+payload keeps the canonical graded-lexicographic order.  Its word rows and
+its commutator-bracket rows both come straight from the term's integer
+lanes, one denominator and a numerator per word.  The cache holds
 rendered payloads, not documents: the key hashes everything the payload is
 a function of, its format included, and an entry is the payload's bytes
 under a one-line header that names the key and the payload's sha256.  A
@@ -18,13 +20,13 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .dynkin import LieTerm
+from .dynkin import left_normed
 from .words import Alphabet
 
 TOOL_NAME = "bchkit"
@@ -32,15 +34,15 @@ TOOL_NAME = "bchkit"
 TermRow = tuple[str, str, str]
 
 
-def _cells(values: Iterable, order: int, den: int = 1) -> dict:
-    """Each distinct value over ``den``, in lowest terms, as its numerator and
-    denominator strings: the one row formatter.  A document repeats a few
+def _cells(nums: Iterable[int], order: int, den: int) -> dict:
+    """Each distinct numerator over ``den`` > 0, in lowest terms, as its numerator
+    and denominator strings: the one row formatter.  A document repeats a few
     hundred values over thousands of rows, so each is reduced and printed once."""
     cells = {}
-    for v in set(values):
-        c = Fraction(v, den)
+    for v in set(nums):
+        g = gcd(v, den)
         try:
-            cells[v] = (str(c.numerator), str(c.denominator))
+            cells[v] = (str(v // g), str(den // g))
         except ValueError:  # str() refuses an int past sys.get_int_max_str_digits() digits
             limit = sys.get_int_max_str_digits()
             raise ValueError(f"a coefficient of the order-{order} term has more than {limit} digits, "
@@ -69,11 +71,13 @@ class OutputDocument:
         alphabet: Alphabet,
         den: int,
         nums: Sequence[int],
-        dynkin_terms: Sequence[LieTerm] | None = None,
+        dynkin: bool = False,
     ) -> "OutputDocument":
         """The document of the term with coefficient nums[k]/den on the k-th
         length-``order`` word in graded-lex order, as ``series.lex_lanes``
-        gives it: the rows need no word tuples, no Fractions and no sort."""
+        gives it: the rows need no word tuples, no Fractions and no sort.
+        With ``dynkin``, each of those words w also gives the bracket row
+        nums[k]/(den*order) [w], Dynkin's commutator form of the term."""
         if len(nums) != alphabet.size**order:
             raise ValueError(f"{len(nums)} numerators for {alphabet.size}^{order} words")
         cells = _cells(nums, order, den)
@@ -81,9 +85,9 @@ class OutputDocument:
         words = map("".join, compress(product(alphabet.letters, repeat=order), nums))
         rows = [(w, *cells[c]) for w, c in zip(words, filter(None, nums))]
         bracket_rows = None
-        if dynkin_terms is not None:
-            cells = _cells((t.coefficient for t in dynkin_terms), order)
-            bracket_rows = [(t.bracket_str(alphabet), *cells[t.coefficient]) for t in dynkin_terms]
+        if dynkin:
+            cells = _cells(nums, order, den * order)
+            bracket_rows = [(left_normed(w), *cells[c]) for (w, _, _), c in zip(rows, filter(None, nums))]
         return cls(
             version=version,
             mode=mode,
@@ -143,19 +147,13 @@ def _latex_signed_terms(rows: Sequence[TermRow]) -> str:
     if not rows:
         return "0"
     parts = []
-    for body, num, den in rows:
-        value = Fraction(int(num), int(den))
-        mag = abs(value)
-        if mag == 1:
-            text = body
-        elif mag.denominator == 1:
-            text = f"{mag}\\,{body}"
+    for body, num, den in rows:  # num/den in lowest terms with den > 0, as _cells prints them
+        sign, mag = ("-", num[1:]) if num[0] == "-" else ("+", num)
+        if den != "1":
+            text = f"\\frac{{{mag}}}{{{den}}}\\,{body}"
         else:
-            text = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}\\,{body}"
-        if not parts:
-            parts.append(text if value > 0 else "-" + text)
-        else:
-            parts.append(("+ " if value > 0 else "- ") + text)
+            text = body if mag == "1" else f"{mag}\\,{body}"
+        parts.append(f"{sign} {text}" if parts else text if sign == "+" else "-" + text)
     return " ".join(parts)
 
 

@@ -41,7 +41,7 @@ from typing import Sequence
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
-Lanes = tuple[int, int, Sequence[int], list[int]]  # (order, denominator, masks, numerators)
+MaskedLanes = tuple[int, int, Sequence[int], list[int]]  # (order, denominator, masks, numerators)
 POOL_MIN_MASKS = 1 << 16  # below this many top-order masks, the kernel costs less than a pool
 SUBTREE_LANES = 1 << 12  # top-order lanes of one job: bounds its memory
 
@@ -91,7 +91,7 @@ def _lane_width(n: int) -> int:
     return (max(bound, *leaves).bit_length() + 8) // 8 * 8
 
 
-def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[Lanes]:
+def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[MaskedLanes]:
     """(d, L d!, masks, numerators) of one subtree for each order d in low..n
     (low defaults to n): its masks of d signs in lane order, each value's numerator.
 
@@ -151,7 +151,7 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[Lanes]:
     return out
 
 
-def _lattice(n: int, workers: int | None, low: int | None = None) -> list[Lanes]:
+def _lattice(n: int, workers: int | None, low: int | None = None) -> list[MaskedLanes]:
     """Every subtree's lanes, joined per order low..n (low defaults to n),
     ascending, as (d, L d!, range(2**d), numerators by mask).  Order n runs
     as low-bit subtrees of at most SUBTREE_LANES masks, so memory is bounded
@@ -168,7 +168,7 @@ def _lattice(n: int, workers: int | None, low: int | None = None) -> list[Lanes]
             parts = list(pool.map(_walk, *jobs))
     else:
         parts = map(_walk, *jobs)
-    orders: dict[int, Lanes] = {}  # root 0 comes first and emits every order, ascending
+    orders: dict[int, MaskedLanes] = {}  # root 0 comes first and emits every order, ascending
     for d, den, masks, nums in chain.from_iterable(parts):
         if d not in orders:
             orders[d] = (d, den, range(1 << d), [0] * (1 << d))

@@ -13,6 +13,9 @@ import pytest
 
 from bchkit import __version__, cli, output, series, signedeval
 from bchkit.cli import main
+from bchkit.dynkin import dynkin_substitute
+from bchkit.freealgebra import oracle_bch
+from bchkit.trimatrix import SeriesSpec
 from bchkit.words import Alphabet, NCSeries
 
 
@@ -130,6 +133,32 @@ class TestTerm:
         assert code == 0
         assert "dynkin:" in out
         assert "1/4  [x,y]" in out
+
+    def test_term_dynkin_decodes_no_words(self, capsys, monkeypatch):
+        # the bracket rows come from the same integer lanes as the word rows:
+        # term --dynkin never turns them into an NCSeries
+        decoded = []
+        from_lex = NCSeries.from_lex.__func__
+
+        def counting(cls, alphabet, degree, den, nums):
+            decoded.append(degree)
+            return from_lex(cls, alphabet, degree, den, nums)
+
+        monkeypatch.setattr(NCSeries, "from_lex", classmethod(counting))
+        code, out, _ = run(capsys, "term", "9", "--dynkin", "--no-cache")
+        assert (code, "dynkin:" in out) == (0, True)
+        assert decoded == []
+
+    @pytest.mark.parametrize("n, m, raw", [*((n, 2, "exp") for n in range(1, 9)), (6, 3, "1,1/2,-3")])
+    def test_bracket_rows_match_dynkin_substitute(self, capsys, n, m, raw):
+        # the reference: the oracle's term through dynkin_substitute and LieTerm.bracket_str
+        alphabet = Alphabet.default(m)
+        spec = SeriesSpec.exponential(n) if raw == "exp" else SeriesSpec.from_coeffs(raw.split(","))
+        z = oracle_bch(n, m, [spec] * m)
+        reference = [f"{t.coefficient}  {t.bracket_str(alphabet)}" for t in dynkin_substitute(z)]
+        code, out, _ = run(capsys, "term", str(n), "--factors", str(m), "--series", raw, "--dynkin", "--no-cache")
+        assert code == 0
+        assert out.split("\ndynkin:\n")[1].splitlines() == reference
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "z2.txt"
@@ -256,11 +285,11 @@ class TestTerm:
         def stages(block):
             return [line.split("  ")[1].strip() for line in block.splitlines()[1:]]
 
-        dynkin = ["dynkin"] if "--dynkin" in flags else []
+        # with --dynkin too: its bracket rows are built in the rows stage
         kernel = ["scales", "width", "recurrence", "unpack"]
-        assert stages(miss) == ["cache load", *kernel, *dynkin, "rows", "render", "cache store"]
+        assert stages(miss) == ["cache load", *kernel, "rows", "render", "cache store"]
         assert stages(hit) == ["cache load"]
-        assert stages(off) == [*kernel, *dynkin, "rows", "render"]
+        assert stages(off) == [*kernel, "rows", "render"]
 
     def test_no_cache_leaves_nothing(self, capsys, isolated_cache):
         code, _, _ = run(capsys, "term", "3", "--no-cache")
