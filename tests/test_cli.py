@@ -701,8 +701,12 @@ def test_stdout_matches_recorded_digest(capsys, command):
 # that the packed kernel replaced; "term 8 --dynkin --format latex", "term 5
 # --factors 3 --series 1,1/2,-3 --dynkin" and "term 4 --letters a,é --dynkin
 # --format json" at commit 649e9f5, from the NCSeries/LieTerm bracket path that
-# bracket rows built from the lanes replaced; the other five at commit 3a18888,
-# from the Fraction/NCSeries output path that rows built from the lanes replaced
+# bracket rows built from the lanes replaced; the two 13-coefficient --series
+# commands (lane widths 152 and 72 bits: three 64-bit chunks, and one with a
+# 1-byte high chunk) at commit 5e13354, from the first-row kernel and its
+# digit-reversal unpack that the last-column kernel replaced; the other five at
+# commit 3a18888, from the Fraction/NCSeries output path that rows built from
+# the lanes replaced
 TERM_DIGESTS = json.loads((Path(__file__).resolve().parent / "term_digests.json").read_text())
 
 
