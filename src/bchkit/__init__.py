@@ -2,9 +2,9 @@
 
 The order-n term of z = log(e^x e^y) is the upper-right entry of the exact
 logarithm of a product of two (n+1) x (n+1) unit-triangular matrices, one
-per letter, read back as words.  Only the first row of the logarithm is
-needed, so the kernel applies the factors to one row at a time; each row
-entry is one Python int that packs one integer lane per word, and the
+per letter, read back as words.  Only the last column of the logarithm is
+needed, so the kernel applies the factors to one column at a time; each
+column entry is one Python int that packs one integer lane per word, and the
 result is split into one exact rational per word at the end.  The same
 kernel covers products of more exponentials and of arbitrary power series
 with f(0) = 1.  The matrix route, a free-algebra oracle, a numeric +-1

@@ -3,7 +3,7 @@
 Series here are NCSeries, maps from words to rationals, multiplied by word
 concatenation with everything past the truncation degree discarded as it
 arises.  Deliberately the slow, obvious algorithm, none of the matrix
-pipeline's: no matrices, no packed lanes, no first-row log.  It shares only
+pipeline's: no matrices, no packed lanes, no row or column log.  It shares only
 the word series type and the input SeriesSpec with the rest of the package,
 and does its own fraction-free arithmetic: integer numerators per word over
 one common denominator, and one Fraction per output word at the end.

@@ -2,28 +2,30 @@
 products of arbitrary power series with f(0) = 1.
 
 z_n is the top-right entry of log(F_0 F_1 ... F_{m-1}) for the factor
-matrices of ``trimatrix``.  Only the first row of the log is needed, so no
-matrix is formed: v_q = v_{q-1} F_0 ... F_{m-1} - v_{q-1} from v_0 = e_0,
-and z_n = sum_q (-1)^{q+1} v_q[n] / q.  Column j is scaled by an integer S_j
-and 1/q becomes L/q with L = lcm(1..n), so everything runs on integers.
-Row entry v[k] is one Python int packing one lane per word over positions
-1..k (Kronecker substitution): lane i is the word whose base-m digits,
-position 1 least significant, spell i, so a family-f run over positions
-k+1..j shifts a lane by f (m^k + ... + m^{j-1}) lanes.  Graded-lex order
-reads the digits the other way round, position 1 most significant, so the
-unpack visits the lanes through a digit-reversal index and ``lex_lanes``
-hands out each word's integer numerator in the order the output prints
-them, with no word tuples and no sort.  The term memo holds only those
-ints, per order and series, and each call decodes a fresh ``NCSeries``
-from them, so no caller can edit another's term.  The matrix route
-(build_factor_matrix, mat_mul, log_upper_right, t_operator) is the
-reference the tests compare against.
+matrices of ``trimatrix``.  Only the last column of the log is needed, so
+no matrix is formed: u_q = F_0 ... F_{m-1} u_{q-1} - u_{q-1} from u_0 = e_n,
+F_{m-1} applied first, and z_n = sum_q (-1)^{q+1} u_q[0] / q.  Column j is
+scaled by an integer S_j and 1/q becomes L/q with L = lcm(1..n), so
+everything runs on integers.  Column entry u[k] is one Python int packing
+one lane per word over positions k+1..n (Kronecker substitution): position
+p's digit weighs m^(n-p), so a family-f run over positions k+1..j shifts a
+lane by f (m^(n-j) + ... + m^(n-k-1)) lanes.  In u[0] position 1 is the
+most significant digit, so lane i is the i-th word in graded-lex order:
+the unpack needs no digit-reversal index, and ``lex_lanes`` hands out each
+word's integer numerator in the order the output prints them, with no word
+tuples and no sort.  The term memo holds only those ints, per order and
+series, and each call decodes a fresh ``NCSeries`` from them, so no caller
+can edit another's term.  The matrix route (build_factor_matrix, mat_mul,
+log_upper_right, t_operator) is the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cache
+from itertools import repeat
 from math import lcm
+from operator import add, lshift, sub
 from time import perf_counter
 from typing import Sequence
 
@@ -72,66 +74,74 @@ def _scaled_steps(n: int, f_list: Sequence[SeriesSpec]) -> tuple[int, list[list[
     return lcm(*range(1, n + 1)) * s[n], steps
 
 
-def _row_powers(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int):
-    """Yield S_n v_q[n] for q = 1..n, ``width`` bits per lane; at width 0
-    each row entry holds the sum of its lanes."""
+def _column_powers(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int):
+    """Yield S_n u_q[0] for q = 1..n, ``width`` bits per lane; at width 0
+    each column entry holds the sum of its lanes."""
     m = len(steps)
-    v = [1] + [0] * n
+    u = [0] * n + [1]
     for q in range(1, n + 1):
-        w = v  # v_{q-1}, and every factor step of it, is zero below column q-1
-        for f, a in enumerate(steps):
-            shift = [width * f * m**k for k in range(n + 1)]
+        top = n - q + 1  # u_{q-1}, and every factor step of it, is zero past row top
+        w = u
+        for f, a in reversed([*enumerate(steps)]):
+            shift = [width * f * m ** (n - j) for j in range(n + 1)]
             nxt = [0] * (n + 1)
-            for j in range(q - 1, n + 1):
-                # Horner over k: each partial sum moves on by f m^k lanes
+            for k in range(top + 1):
+                # Horner over j: each partial sum moves on by f m^(n-j) lanes
                 total = 0
-                for k in range(q - 1, j):
-                    total = (total + w[k] * a[k][j]) << shift[k]
-                nxt[j] = total + w[j]  # a[j][j] = c_0 = 1
+                for j in range(top, k, -1):
+                    total = (total + w[j] * a[k][j]) << shift[j]
+                nxt[k] = total + w[k]  # a[k][k] = c_0 = 1
             w = nxt
-        v = [x - y for x, y in zip(w, v)]
-        yield v[n]
+        u = [x - y for x, y in zip(w, u)]
+        yield u[0]
 
 
 def lane_width(n: int, steps: Sequence[Sequence[Sequence[int]]]) -> int:
     """Lane bits that provably hold every lane of ``packed_log_entry``.
 
     On |a[f][k][j]| at width 0 the recurrence bounds the sum of |lane| over
-    the lanes of S_n v_q[n], so each lane; the L/q weights add these up.
+    the lanes of S_n u_q[0], so each lane; the L/q weights add these up.
     One sign bit more, rounded up to whole bytes.
     """
     top = lcm(*range(1, n + 1))
     absolute = [[[abs(x) for x in row] for row in a] for a in steps]
-    bound = sum(top // q * b for q, b in enumerate(_row_powers(n, absolute, 0), 1))
+    bound = sum(top // q * b for q, b in enumerate(_column_powers(n, absolute, 0), 1))
     return (bound.bit_length() + 8) // 8 * 8
 
 
 def packed_log_entry(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int) -> int:
     """L S_n times the (1, n+1) log entry, one ``width``-bit lane per word."""
     top = lcm(*range(1, n + 1))
-    powers = _row_powers(n, steps, width)
-    return sum((-1) ** (q + 1) * (top // q) * v for q, v in enumerate(powers, 1))
+    powers = _column_powers(n, steps, width)
+    return sum((-1) ** (q + 1) * (top // q) * u for q, u in enumerate(powers, 1))
 
 
 def unpack_lanes(packed: int, width: int, n: int, m: int) -> list[int]:
-    """Every lane of ``packed``, as a signed integer, in graded-lex order of
-    the words: the k-th word w_1 ... w_n in lex order is lane sum w_p m^(p-1).
+    """Every lane of ``packed``, as a signed integer; lane k is the k-th
+    word w_1 ... w_n in graded-lex order.
 
     Adding 2^(width-1) to each lane makes it a nonnegative ``width``-bit
-    digit, so one ``to_bytes`` call splits them.  A top lane that does not
-    fit raises OverflowError; the others rely on ``lane_width``.
+    digit, so one ``to_bytes`` call splits them, and padded to whole 64-bit
+    chunks ``memoryview.cast`` reads them at C speed.  A top lane that does
+    not fit raises OverflowError; the others rely on ``lane_width``.
     """
-    size = width // 8
-    half = 1 << (width - 1)
+    size, lanes, half = width // 8, m**n, 1 << (width - 1)
     # repeated bytes: a sum of half << width*i would be quadratic
-    offset = int.from_bytes(half.to_bytes(size, "little") * m**n, "little")
-    data = (packed + offset).to_bytes(size * m**n, "little")
-    # byte offsets of the lanes, position 1 outermost: the digit reversal
-    starts = [0]
-    for p in range(n):
-        digits = [d * size * m**p for d in range(m)]
-        starts = [i + d for i in starts for d in digits]
-    return [int.from_bytes(data[i : i + size], "little") - half for i in starts]
+    offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
+    data = (packed + offset).to_bytes(size * lanes, "little")
+    wide = -(-size // 8)  # 64-bit chunks per lane
+    if size % 8 or sys.byteorder == "big":
+        # byte b of a lane is byte b % 8 of its chunk b // 8 in host order
+        flip = 0 if sys.byteorder == "little" else 7
+        buf = bytearray(8 * wide * lanes)
+        for b in range(size):
+            buf[b ^ flip :: 8 * wide] = data[b::size]
+        data = buf  # frees the unpadded bytes before the lanes list grows
+    chunks = memoryview(data).cast("Q")
+    nums = chunks[::wide]
+    for c in range(1, wide):
+        nums = map(add, nums, map(lshift, chunks[c::wide], repeat(64 * c)))
+    return list(map(sub, nums, repeat(half)))
 
 
 class Stages:

@@ -111,7 +111,7 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[MaskedL
     unpacked to ints.  A prefix shorter than ``depth`` lies in several
     subtrees; only the one rooted at it (root >> d == 0) emits it.
     """
-    # its own first-row log: a bug shared with the symbolic kernel would pass verify --modes signed
+    # its own first-row log, apart from the symbolic last-column one: a shared bug would pass verify
     low = n if low is None else low
     width = _lane_width(n)
     size, half = width // 8, 1 << width - 1

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from bchkit import __version__
-from bchkit.dynkin import dynkin_substitute
 from bchkit.output import (
     OutputDocument,
     cache_dir,
@@ -18,7 +17,7 @@ from bchkit.output import (
     render_latex,
     render_text,
 )
-from bchkit.series import bch_term, lex_lanes, logf_term, t_operator
+from bchkit.series import lex_lanes, logf_term, t_operator
 from bchkit.signedeval import build_table, reconstruct_term
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet
@@ -28,9 +27,8 @@ A2 = Alphabet.default(2)
 
 def make_doc(n=3, with_dynkin=False):
     exp = SeriesSpec.exponential(n)
-    brackets = dynkin_substitute(bch_term(n)) if with_dynkin else None
     return OutputDocument.from_lex(
-        __version__, "term", n, ("exp", "exp"), A2, *lex_lanes(n, [exp, exp]), brackets
+        __version__, "term", n, ("exp", "exp"), A2, *lex_lanes(n, [exp, exp]), dynkin=with_dynkin
     )
 
 

@@ -342,3 +342,28 @@ class TestLaneWidth:
         _, steps = series_module._scaled_steps(n, specs)
         width = series_module.lane_width(n, steps)
         assert term_at_width(monkeypatch, n, specs, width - 8) != reference
+
+
+def pack(lanes, width):
+    """Lane k of the result holds lanes[k], signed, ``width`` bits each."""
+    packed = 0
+    for x in reversed(lanes):
+        packed = (packed << width) + x
+    return packed
+
+
+class TestUnpackLanes:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("width", range(8, 201, 8))
+    def test_lanes_come_back_in_order(self, width, m):
+        rng = random.Random(width * 10 + m)
+        half = 1 << (width - 1)
+        lanes = [rng.randrange(-half, half) for _ in range(m**3)]
+        lanes[0], lanes[1], lanes[-1] = -half, half - 1, rng.choice((-half, half - 1))
+        assert series_module.unpack_lanes(pack(lanes, width), width, 3, m) == lanes
+
+    @pytest.mark.parametrize("width", range(8, 201, 8))
+    def test_top_lane_past_its_width_overflows(self, width):
+        lanes = [0] * 7 + [1 << (width - 1)]
+        with pytest.raises(OverflowError):
+            series_module.unpack_lanes(pack(lanes, width), width, 3, 2)
