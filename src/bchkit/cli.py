@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 from . import __version__
 # dynkin_substitute, expand_commutators and oracle_bch: perfbench/tracing.py wraps them
 from .dynkin import _expand_lex, dynkin_substitute, expand_commutators
-from .freealgebra import oracle_bch, oracle_log
+from .freealgebra import oracle_bch, oracle_lanes
 from .output import (
     CACHE_ENV_VAR,
     RENDERERS,
@@ -196,7 +196,7 @@ def _stats_report(stages: Stages, cache: str, words: int) -> str:
 # Per-mode order caps: the oracle's cost grows like m**n and the signed
 # route evaluates 2**n sign assignments, so each route has a practical ceiling.
 VERIFY_MODES = ("oracle", "multi", "signed", "dynkin")
-VERIFY_CAPS = {"oracle": 12, "multi": 6, "signed": 14, "dynkin": 20}
+VERIFY_CAPS = {"oracle": 16, "multi": 6, "signed": 14, "dynkin": 20}
 Lanes = tuple[int, Sequence[int]]  # one order: a denominator and graded-lex numerators over it
 
 
@@ -209,14 +209,13 @@ def _first_diff(den: int, a: Sequence[int], den_ref: int, b: Sequence[int]) -> i
 
 def _verify_pairs(mode: str, limit: int, m: int) -> Iterator[tuple[Lanes, Lanes]]:
     """(pipeline, reference) lanes of orders 1..limit.  Each reference runs
-    once, at limit: the oracle's log truncated there holds every lower order,
-    one lattice walk reads every lane of orders 1..limit, and
-    Dynkin-Specht-Wever expands the pipeline's own numerators."""
+    once, at limit: the oracle's log truncated there holds every lower order
+    and hands each out as lanes, one lattice walk reads every lane of orders
+    1..limit, and Dynkin-Specht-Wever expands the pipeline's own numerators."""
     orders = range(1, limit + 1)
     lanes = [term_lanes(n, m) for n in orders]
     if mode in ("oracle", "multi"):
-        log = oracle_log(limit, m, [SeriesSpec.exponential(limit)] * m)
-        references = (log.to_lex(n) for n in orders)
+        references = oracle_lanes(limit, m, [SeriesSpec.exponential(limit)] * m)
     elif mode == "signed":
         references = lattice_terms(limit)
     else:

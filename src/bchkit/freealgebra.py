@@ -1,125 +1,154 @@
 """Brute-force truncated free-algebra engine, the package's ground truth.
 
-Series here are NCSeries, maps from words to rationals, multiplied by word
-concatenation with everything past the truncation degree discarded as it
-arises.  Deliberately the slow, obvious algorithm, none of the matrix
-pipeline's: no matrices, no packed lanes, no row or column log.  It shares only
-the word series type and the input SeriesSpec with the rest of the package,
-and does its own fraction-free arithmetic: integer numerators per word over
-one common denominator, and one Fraction per output word at the end.
-One ``oracle_log`` run at the top order answers a whole ``verify`` route.
+Deliberately the slow, obvious algorithm, none of the matrix pipeline's: no
+matrices, no packed lanes, no row or column log.  A series truncated past
+degree cap over m letters is one flat list of integer numerators over one
+denominator, word w at flat(w) = sum_i (w_i + 1) m^(|w|-1-i): graded-lex
+order, the length-L words from (m^L - 1)/(m - 1).  Since
+flat(uv) = m^|v| flat(u) + flat(v), carrying one word v onto every u that
+fits under the cap is one strided slice update; every fitting pair of words
+is still multiplied.  One oracle run at the top order answers a ``verify`` route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import chain, compress, product, repeat
+from math import factorial, gcd, lcm
+from operator import add, mul
 
+from .series import MAX_WORDS
 from .trimatrix import SeriesSpec
-from .words import Alphabet, NCSeries, Word
+from .words import Alphabet, NCSeries
 
 # Public name kept for importers; the oracle works on the shared word series.
 TruncatedNCSeries = NCSeries
 
 
-def _numerators(a: NCSeries) -> tuple[dict[Word, int], int]:
-    """a as integer numerators over the lcm of its denominators."""
+def _starts(m: int, cap: int) -> list[int]:
+    """Flat index of the first word of each length 0..cap + 1."""
+    return [(m**length - 1) // (m - 1) for length in range(cap + 2)]
+
+
+def _flat(a: NCSeries) -> tuple[list[int], int]:
+    """a as flat integer numerators over the lcm of its denominators."""
+    m, cap = a.alphabet.size, a.max_degree
+    if m**cap > MAX_WORDS:
+        raise ValueError(f"max degree {cap} needs {m}^{cap} words, over the limit of {MAX_WORDS}")
     den = lcm(*(c.denominator for c in a.terms.values()))
-    return {w: c.numerator * (den // c.denominator) for w, c in a.terms.items()}, den
+    flat = [0] * _starts(m, cap)[-1]
+    for word, c in a.terms.items():
+        i = sum((letter + 1) * m ** (len(word) - 1 - j) for j, letter in enumerate(word))
+        flat[i] = c.numerator * (den // c.denominator)
+    return flat, den
 
 
-def _concat(a: dict[Word, int], b: dict[Word, int], cap: int) -> dict[Word, int]:
-    """Integer concatenation product without overweight words or zeros; b is
-    bucketed by length so only pairs that fit under ``cap`` are touched."""
-    buckets: dict[int, list[tuple[Word, int]]] = {}
-    for wb, cb in b.items():
-        buckets.setdefault(len(wb), []).append((wb, cb))
-    out: dict[Word, int] = {}
-    for wa, ca in a.items():
-        room = cap - len(wa)
-        for length, pairs in buckets.items():
-            if length > room:
-                continue
-            for wb, cb in pairs:
-                word = wa + wb
-                out[word] = out.get(word, 0) + ca * cb
-    return {w: c for w, c in out.items() if c}
+def _series(alphabet: Alphabet, cap: int, flat: list[int], den: int) -> NCSeries:
+    words = chain.from_iterable(product(range(alphabet.size), repeat=k) for k in range(cap + 1))
+    return NCSeries(alphabet, cap, {w: Fraction(c, den) for w, c in zip(words, flat) if c})
+
+
+def _concat(a: list[int], b: list[int], m: int, cap: int, low: int = 0) -> list[int]:
+    """Flat concatenation product, overweight words dropped; a holds no word
+    shorter than ``low``, so only the words of b that fit after one are read."""
+    starts = _starts(m, cap)
+    out = [0] * len(a)
+    first = starts[low]
+    for length in range(cap - low + 1):
+        step = m**length
+        count = starts[cap - length + 1]  # the words u with |uv| <= cap
+        src = a[first:count]
+        lo, hi = starts[length], starts[length + 1]
+        for v in compress(range(lo, hi), b[lo:hi]):
+            s = slice(v + first * step, v + count * step, step)
+            out[s] = map(add, out[s], map(mul, src, repeat(b[v])))
+    return out
+
+
+def _power_sum(x: list[int], dx: int, m: int, cap: int, log: bool) -> tuple[list[int], int]:
+    """sum_k w_k (x/dx)^k, k = 0..cap, x without its constant: w_k = 1/k! for
+    exp, (-1)^(k+1)/k and w_0 = 0 for log; it stops once x^k vanishes.  x^k is
+    integers over dx**k, so every term is an integer over lcm(w) * dx**cap."""
+    weights = [Fraction(1, factorial(k)) for k in range(cap + 1)]
+    if log:
+        weights = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, cap + 1)]
+    big = lcm(*(w.denominator for w in weights))
+    x, power = [0, *x[1:]], [1] + [0] * (len(x) - 1)
+    acc = [0] * len(x)
+    for k, w in enumerate(weights):
+        if k:
+            power = _concat(power, x, m, cap, k - 1)
+            if not any(power):
+                break
+        scale = w.numerator * (big // w.denominator) * dx ** (cap - k)
+        acc = list(map(add, acc, map(mul, power, repeat(scale))))
+    return acc, big * dx**cap
 
 
 def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     """Concatenation product, dropping overweight words as they arise."""
     a._compatible(b)
-    na, da = _numerators(a)
-    nb, db = _numerators(b)
-    den = da * db
-    return a._with_terms({w: Fraction(c, den) for w, c in _concat(na, nb, a.max_degree).items()})
-
-
-def _power_sum(a: NCSeries, weights: list[Fraction]) -> NCSeries:
-    """sum_k weights[k] x^k, k = 0..max_degree, x = a minus its integer
-    constant, stopping once x^k vanishes.  x^k is integers over dx**k, so every
-    term is an integer over lcm(weight denominators) * dx**max_degree."""
-    cap = a.max_degree
-    x, dx = _numerators(a)
-    x.pop((), None)
-    big = lcm(*(w.denominator for w in weights))
-    power, acc = {(): 1}, {}
-    for k, w in enumerate(weights):
-        if k:
-            power = _concat(power, x, cap)
-            if not power:
-                break
-        scale = w.numerator * (big // w.denominator) * dx ** (cap - k)
-        for word, c in power.items():
-            acc[word] = acc.get(word, 0) + scale * c
-    den = big * dx**cap
-    return a._with_terms({w: Fraction(c, den) for w, c in acc.items() if c})
+    (fa, da), (fb, db) = _flat(a), _flat(b)
+    return _series(a.alphabet, a.max_degree, _concat(fa, fb, a.alphabet.size, a.max_degree), da * db)
 
 
 def nc_exp(a: NCSeries) -> NCSeries:
     """sum_{k=0}^{n} a^k / k! for a with zero constant term."""
     if a.coefficient(()) != 0:
         raise ValueError("nc_exp needs a zero constant term")
-    return _power_sum(a, [Fraction(1, factorial(k)) for k in range(a.max_degree + 1)])
+    return _series(a.alphabet, a.max_degree, *_power_sum(*_flat(a), a.alphabet.size, a.max_degree, log=False))
 
 
 def nc_log(a: NCSeries) -> NCSeries:
     """-sum_{q=1}^{n} ((-1)^q / q) (a - 1)^q for a with constant term 1."""
     if a.coefficient(()) != 1:
         raise ValueError("nc_log needs constant term exactly 1")
-    weights = [Fraction((-1) ** (q + 1), q) if q else Fraction(0) for q in range(a.max_degree + 1)]
-    return _power_sum(a, weights)
+    return _series(a.alphabet, a.max_degree, *_power_sum(*_flat(a), a.alphabet.size, a.max_degree, log=True))
 
 
-def series_at_letter(
-    f: SeriesSpec, alphabet: Alphabet, max_degree: int, index: int
-) -> NCSeries:
+def series_at_letter(f: SeriesSpec, alphabet: Alphabet, max_degree: int, index: int) -> NCSeries:
     """f evaluated at a single letter: sum_k c_k letter^k up to the cap."""
     terms = {(index,) * k: f.coeff(k) for k in range(max_degree + 1)}
     return NCSeries(alphabet, max_degree, terms)
 
 
-def oracle_log(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
-    """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, by direct expansion.
-    Its degree-d slice is z_d for every d <= n: concatenation never shortens a
-    word, so truncating at n drops nothing that reaches degree <= n."""
+def _oracle(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None) -> tuple[Alphabet, list[int], int]:
+    """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, as flat integers over
+    one denominator.  Its length-d words are z_d for every d <= n: concatenation
+    never shortens a word, so truncating at n drops nothing of degree <= n."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if m < 2:
         raise ValueError(f"factor count must be >= 2, got {m}")
     if len(f_list) != m:
         raise ValueError(f"expected {m} series, got {len(f_list)}")
-    if alphabet is None:
-        alphabet = Alphabet.default(m)
+    alphabet = alphabet or Alphabet.default(m)
     if alphabet.size != m:
         raise ValueError(f"alphabet has {alphabet.size} letters, need {m}")
-    product = None
+    flat, den = _flat(NCSeries(alphabet, n, {(): 1}))
     for k, f in enumerate(f_list):
-        factor = series_at_letter(f, alphabet, n, k)
-        product = factor if product is None else nc_mul(product, factor)
-    return nc_log(product)
+        factor, dk = _flat(series_at_letter(f, alphabet, n, k))
+        flat, den = _concat(flat, factor, m, n), den * dk
+    g = gcd(den, *flat)  # unreduced, the power sum's ints double in width
+    return (alphabet, *_power_sum([c // g for c in flat], den // g, m, n, log=True))
+
+
+def oracle_log(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
+    """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, by direct expansion."""
+    alphabet, flat, den = _oracle(n, m, f_list, alphabet)
+    return _series(alphabet, n, flat, den)
+
+
+def oracle_lanes(n: int, m: int, f_list: list[SeriesSpec]) -> list[tuple[int, list[int]]]:
+    """(den_d, numerators of the length-d words in graded-lex order) for
+    d = 1..n, each order over the lowest denominator that holds it."""
+    _, flat, den = _oracle(n, m, f_list, None)
+    starts = _starts(m, n)
+    orders = [flat[lo:hi] for lo, hi in zip(starts[1:], starts[2:])]
+    return [(den // g, [c // g for c in nums]) for nums in orders for g in [gcd(den, *nums)]]
 
 
 def oracle_bch(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
     """Degree-n slice of log(f_0(a_0) f_1(a_1) ...) by direct expansion."""
-    return NCSeries.from_lex(alphabet or Alphabet.default(m), n, *oracle_log(n, m, f_list, alphabet).to_lex(n))
+    top = oracle_lanes(n, m, f_list)[-1]
+    return NCSeries.from_lex(alphabet or Alphabet.default(m), n, *top)

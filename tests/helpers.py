@@ -11,9 +11,10 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+from bchkit.freealgebra import series_at_letter
 from bchkit.multilinear import MultilinearPoly
 from bchkit.trimatrix import TriMatrix, mat_mul
-from bchkit.words import NCSeries, Word
+from bchkit.words import Alphabet, NCSeries, Word
 
 
 def mat_add(a: TriMatrix, b: TriMatrix) -> TriMatrix:
@@ -196,3 +197,14 @@ def nc_log_reference(a: NCSeries) -> NCSeries:
             break
         acc = acc + power.scaled(Fraction((-1) ** (q + 1), q))
     return acc
+
+
+def oracle_log_reference(n: int, m: int, f_list) -> NCSeries:
+    """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, on word dicts and
+    Fractions: the factor product through nc_mul_reference, then
+    nc_log_reference, with no flat list anywhere."""
+    alphabet = Alphabet.default(m)
+    product = NCSeries(alphabet, n, {(): 1})
+    for k, f in enumerate(f_list):
+        product = nc_mul_reference(product, series_at_letter(f, alphabet, n, k))
+    return nc_log_reference(product)

@@ -385,14 +385,14 @@ class TestVerify:
         assert "ok signed n=4" in out
 
     def test_explicit_mode_over_cap_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "13", "--modes", "oracle")
+        code, _, err = run(capsys, "verify", "17", "--modes", "oracle")
         assert code == 1
-        assert "n <= 12" in err
+        assert "n <= 16" in err
 
-    def test_oracle_cap_is_twelve(self, capsys):
-        code, out, _ = run(capsys, "verify", "12", "--modes", "oracle")
+    def test_oracle_cap_is_sixteen(self, capsys):
+        code, out, _ = run(capsys, "verify", "16", "--modes", "oracle")
         assert code == 0
-        assert "ok oracle n=12 (2044 words)" in out
+        assert "ok oracle n=16 (30124 words)" in out
         assert "all checks passed" in out
 
     def test_signed_cap_is_fourteen(self, capsys):
@@ -431,28 +431,31 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode, order, word", [("oracle", 3, "xyy"), ("multi", 2, "wx"), ("dynkin", 5, "xyxyy")])
     def test_every_route_fails_on_its_first_differing_word(self, capsys, monkeypatch, mode, order, word):
-        # one word of one order raised on the reference side: the oracle log
-        # by 1/7, the Dynkin expansion by one unit of its denominator
+        # one word of one order raised on the reference side: the oracle's
+        # lane by 1/7, the Dynkin expansion by one unit of its denominator
         m = 3 if mode == "multi" else 2
         w = Alphabet.default(m).parse_word(word)
         _, passing, _ = run(capsys, "verify", "6", "--modes", mode)
+        index = int("".join(map(str, w)), m)  # graded-lex: the word's letters as base-m digits
         if mode == "dynkin":
             expand, delta = cli._expand_lex, Fraction(1, series.term_lanes(order, m)[0] * order)
-            index = int("".join(map(str, w)), m)  # graded-lex: the word's letters as base-m digits
 
             def perturbed(nums, letters, k):
                 return [c + (k == order and i == index) for i, c in enumerate(expand(nums, letters, k))]
 
             monkeypatch.setattr(cli, "_expand_lex", perturbed)
         else:
-            oracle_log, delta = cli.oracle_log, Fraction(1, 7)
+            oracle_lanes, delta = cli.oracle_lanes, Fraction(1, 7)
 
             def perturbed(*args):
-                log = oracle_log(*args)
-                log.terms[w] = log.coefficient(w) + delta
-                return log
+                lanes = oracle_lanes(*args)
+                den, nums = lanes[order - 1]  # over 7 den from here on
+                nums = [7 * c for c in nums]
+                nums[index] += den
+                lanes[order - 1] = 7 * den, nums
+                return lanes
 
-            monkeypatch.setattr(cli, "oracle_log", perturbed)
+            monkeypatch.setattr(cli, "oracle_lanes", perturbed)
         code, out, _ = run(capsys, "verify", "6", "--modes", mode)
         expected = series.bch_term_multi(order, m).coefficient(w)
         assert code == 2
@@ -483,7 +486,7 @@ class TestVerify:
         ]
 
     def test_each_route_runs_once_at_its_top_order(self, capsys, monkeypatch):
-        # every order is a slice of one oracle log per oracle mode and one
+        # every order is a slice of one oracle run per oracle mode and one
         # lattice walk for signed, each at the mode's capped limit
         calls = []
 
@@ -494,11 +497,11 @@ class TestVerify:
 
             return wrapped
 
-        monkeypatch.setattr(cli, "oracle_log", counting("oracle_log", cli.oracle_log))
+        monkeypatch.setattr(cli, "oracle_lanes", counting("oracle_lanes", cli.oracle_lanes))
         monkeypatch.setattr(signedeval, "_lattice", counting("_lattice", signedeval._lattice))
         code, out, _ = run(capsys, "verify", "9")
         assert code == 0
-        assert calls == [("oracle_log", 9), ("oracle_log", 6), ("_lattice", 9)]
+        assert calls == [("oracle_lanes", 9), ("oracle_lanes", 6), ("_lattice", 9)]
         assert out.count("ok ") == 9 + 6 + 9 + 9
 
     def test_dynkin_cap_is_twenty(self, capsys):

@@ -12,13 +12,14 @@ from bchkit.freealgebra import (
     nc_log,
     nc_mul,
     oracle_bch,
+    oracle_lanes,
     oracle_log,
     series_at_letter,
 )
-from bchkit.series import bch_term, bch_term_multi
+from bchkit.series import MAX_WORDS, bch_term, bch_term_multi
 from bchkit.trimatrix import SeriesSpec
 from bchkit.words import Alphabet, NCSeries
-from helpers import nc_exp_reference, nc_log_reference, nc_mul_reference
+from helpers import nc_exp_reference, nc_log_reference, nc_mul_reference, oracle_log_reference
 
 A2 = Alphabet.default(2)
 A3 = Alphabet.default(3)
@@ -308,6 +309,35 @@ class TestOracleLog:
             oracle_log(2, 3, [exp, exp])
         with pytest.raises(ValueError, match="letters"):
             oracle_log(2, 2, [exp, exp], A3)
+
+
+class TestFlatEngine:
+    """The flat graded-lex engine against the dict and Fraction references."""
+
+    @pytest.mark.parametrize(
+        "m,top,specs",
+        [
+            (2, 9, [SeriesSpec.exponential(9)] * 2),
+            (3, 6, [SeriesSpec.exponential(6)] * 3),
+            (2, 7, seeded_specs(2, 7)),
+            (3, 5, seeded_specs(3, 5)),
+            (4, 4, seeded_specs(4, 4)),
+        ],
+        ids=["exp-m2", "exp-m3", "random-m2", "random-m3", "random-m4"],
+    )
+    def test_log_and_lanes_match_the_reference(self, m, top, specs):
+        ref = oracle_log_reference(top, m, specs)
+        assert oracle_log(top, m, specs) == ref
+        assert oracle_lanes(top, m, specs) == [ref.to_lex(d) for d in range(1, top + 1)]
+
+    @pytest.mark.parametrize("alphabet", [A2, A3])
+    def test_size_guard_refuses_before_allocating(self, alphabet):
+        # m**40 words is far past the limit: the error comes before any list
+        letter = NCSeries(alphabet, 40, {(0,): 1})
+        for call in (lambda: nc_exp(letter), lambda: nc_log(letter + NCSeries(alphabet, 40, {(): 1})),
+                     lambda: nc_mul(letter, letter)):
+            with pytest.raises(ValueError, match=f"over the limit of {MAX_WORDS}"):
+                call()
 
 
 class TestToLex:
