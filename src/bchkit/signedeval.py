@@ -19,29 +19,36 @@ on integers over the table's common denominator.
 Entry d of every row of the log recurrence depends on s_1..s_d alone, and
 the leading (d+1) x (d+1) block of the order-n product is the order-d one.
 So one kernel fills entry d for every prefix of d signs at once, each a
-lane of one packed int indexed by its prefix products P_t, and these are
-the order-d assignments: a scan of orders 1..n is one run, as are the
-terms verify reconstructs.  The top order splits into subtrees of at most
-2**12 lanes, run here or on one pool of processes per call; a prefix
-shorter than the subtrees' depth comes only from the subtree rooted at it.
-Each order comes back as integer numerators over L_d d!, with no Fraction.
+lane of one packed int, and these are the order-d assignments: a scan of
+orders 1..n is one run, as are the terms verify reconstructs.  Lanes stay
+in P-order, the order the kernel computes them in: lane f has bit t-1 set
+when the prefix product P_t = s_1 ... s_t is -1, and holds the value at
+mask (f ^ f << 1) mod 2**d, a Gray code.  The parity of that mask is f's
+top bit, so a scan finds the odd-plus lanes as one half of the list, and
+the transform of the P-order lanes is the term with each word read
+through the same map.  The top order splits into subtrees of at most
+2**12 lanes, run here or on one pool of processes per call, each filling
+one strided slice of its order's list; a prefix shorter than the
+subtrees' depth comes only from the subtree rooted at it.  Each order
+comes back as integer numerators over L_d d!, with no Fraction.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import comb, factorial, lcm
-from operator import add, sub
-from typing import Sequence
+from operator import add, countOf, lshift, sub
+from typing import Iterable, Sequence
 
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
-MaskedLanes = tuple[int, int, Sequence[int], list[int]]  # (order, denominator, masks, numerators)
+OrderLanes = tuple[int, int, int, list[int]]  # (order, denominator, first P-lane, numerators)
 POOL_MIN_MASKS = 1 << 16  # below this many top-order masks, the kernel costs less than a pool
 SUBTREE_LANES = 1 << 12  # top-order lanes of one job: bounds its memory
 
@@ -91,15 +98,39 @@ def _lane_width(n: int) -> int:
     return (max(bound, *leaves).bit_length() + 8) // 8 * 8
 
 
-def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[MaskedLanes]:
-    """(d, L d!, masks, numerators) of one subtree for each order d in low..n
-    (low defaults to n): its masks of d signs in lane order, each value's numerator.
+def _unpack(data: bytes, size: int, half: int) -> list[int]:
+    """The ``size``-byte little-endian lanes of ``data``, each less ``half``.
 
-    The subtree holds the masks with ``root`` as their low ``depth`` bits.
-    With P_t = s_1 ... s_t and D = diag(P_0, ..., P_n) the product is
-    F D F D; scaling column j by j! turns F into the Pascal matrix C, so
-    u_q = u_{q-1} (F D F D - I) from u_0 = e_0 runs on ints as
-    a_q = P (C u_{q-1}), u_q = P (C a_q) - u_{q-1} (P entrywise).  Entry d
+    Padded to whole 64-bit chunks, one strided slice copy per byte (none
+    when lanes fill whole chunks on a little-endian host), they are read by
+    ``memoryview.cast`` at C speed; chunks above the first are shifted in.
+    """
+    wide, lanes = -(-size // 8), len(data) // size  # 64-bit chunks per lane
+    if size % 8 or sys.byteorder == "big":
+        # byte b of a lane is byte b % 8 of its chunk b // 8 in host order
+        flip = 0 if sys.byteorder == "little" else 7
+        buf = bytearray(8 * wide * lanes)
+        for b in range(size):
+            buf[b ^ flip :: 8 * wide] = data[b::size]
+        data = buf
+    chunks = memoryview(data).cast("Q")
+    nums = chunks[::wide]
+    for c in range(1, wide):
+        nums = map(add, nums, map(lshift, chunks[c::wide], repeat(64 * c)))
+    return list(map(sub, nums, repeat(half)))
+
+
+def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[OrderLanes]:
+    """(d, L d!, start, numerators) of one subtree for each order d in low..n
+    (low defaults to n): its values in P-order, lane i at P-lane
+    f = start + (i << depth), which holds mask (f ^ f << 1) mod 2**d.
+
+    The subtree holds the masks with ``root`` as their low ``depth`` bits,
+    the P-lanes with ``start`` as theirs.  With P_t = s_1 ... s_t and
+    D = diag(P_0, ..., P_n) the product is F D F D; scaling column j by j!
+    turns F into the Pascal matrix C, so u_q = u_{q-1} (F D F D - I) from
+    u_0 = e_0 runs on ints as a_q = P (C u_{q-1}),
+    u_q = P (C a_q) - u_{q-1} (P entrywise).  Entry d
     of both depends on s_1..s_d alone, so level d fills it for every prefix
     of d signs at once, one W-bit lane each (W from ``_lane_width``).  Lane
     bit t - depth - 1 is [P_t = -1], so P_d = -1 on the upper half of level
@@ -108,10 +139,10 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[MaskedL
     broadcasts them Horner-style (acc += acc << W lanes).  The order-d
     product is the leading block of the order-n one, so level d yields the
     order-d values sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!), L = lcm(1..d),
-    unpacked to ints.  A prefix shorter than ``depth`` lies in several
-    subtrees; only the one rooted at it (root >> d == 0) emits it.
+    unpacked to ints by ``_unpack``.  A prefix shorter than ``depth`` lies
+    in several subtrees; only the one rooted at it (root >> d == 0) emits it.
     """
-    # its own first-row log, apart from the symbolic last-column one: a shared bug would pass verify
+    # its own first-row log and unpack, apart from the symbolic kernel: a shared bug would pass verify
     low = n if low is None else low
     width = _lane_width(n)
     size, half = width // 8, 1 << width - 1
@@ -142,22 +173,22 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[MaskedL
         a[d + 1][d] = times_p(u[d][d])
         if d < low or root >> d:
             continue
-        big, top, lanes = lcm(*range(1, d + 1)), (1 << d) - 1, 1 << max(d - depth, 0)
+        big, lanes = lcm(*range(1, d + 1)), 1 << max(d - depth, 0)
         value = sum((-1) ** (q + 1) * (big // q) * u[q][d] for q in range(1, d + 1))
         data = (value + offset(lanes)).to_bytes(size * lanes, "little")
-        masks = [(f ^ f << 1) & top for f in range(froot & top, top + 1, 1 << depth)]
-        nums = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
-        out.append((d, big * factorial(d), masks, nums))
+        out.append((d, big * factorial(d), froot & ((1 << d) - 1), _unpack(data, size, half)))
     return out
 
 
-def _lattice(n: int, workers: int | None, low: int | None = None) -> list[MaskedLanes]:
+def _lattice(n: int, workers: int | None, low: int | None = None) -> list[OrderLanes]:
     """Every subtree's lanes, joined per order low..n (low defaults to n),
-    ascending, as (d, L d!, range(2**d), numerators by mask).  Order n runs
-    as low-bit subtrees of at most SUBTREE_LANES masks, so memory is bounded
-    whatever n is: on min(workers, cpu count) processes, two or more
-    subtrees each, if it has max(4 * workers, POOL_MIN_MASKS) masks, else
-    here.  Mask ranges would redo shared prefixes."""
+    ascending, as (d, L d!, 0, all 2**d numerators in P-order).  Order n
+    runs as low-bit subtrees of at most SUBTREE_LANES masks, so memory is
+    bounded whatever n is: on min(workers, cpu count) processes, two or
+    more subtrees each, if it has max(4 * workers, POOL_MIN_MASKS) masks,
+    else here.  Mask ranges would redo shared prefixes.  A subtree's lanes
+    are one strided slice of its order's list, so a worker sends back
+    numerators alone, joined as they come back."""
     workers = min(workers or 1, os.cpu_count() or 1)
     pooled = workers > 1 and 1 << n >= max(4 * workers, POOL_MIN_MASKS)
     depth = max(n + 1 - SUBTREE_LANES.bit_length(), (2 * workers - 1).bit_length() if pooled else 0)
@@ -165,16 +196,17 @@ def _lattice(n: int, workers: int | None, low: int | None = None) -> list[Masked
     if pooled:
         from concurrent.futures import ProcessPoolExecutor  # here: it pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_walk, *jobs))
-    else:
-        parts = map(_walk, *jobs)
-    orders: dict[int, MaskedLanes] = {}  # root 0 comes first and emits every order, ascending
-    for d, den, masks, nums in chain.from_iterable(parts):
+            return _join(pool.map(_walk, *jobs), depth)
+    return _join(map(_walk, *jobs), depth)
+
+
+def _join(parts: Iterable[list[OrderLanes]], depth: int) -> list[OrderLanes]:
+    """Each order's subtree lanes, strided slices of depth ``depth``, in one P-order list."""
+    orders: dict[int, OrderLanes] = {}  # root 0 comes first and emits every order, ascending
+    for d, den, start, nums in chain.from_iterable(parts):
         if d not in orders:
-            orders[d] = (d, den, range(1 << d), [0] * (1 << d))
-        joined = orders[d][3]
-        for mask, num in zip(masks, nums):
-            joined[mask] = num
+            orders[d] = (d, den, 0, [0] * (1 << d))
+        orders[d][3][start :: 1 << depth] = nums  # one lane if d < depth: start < 2**d
     return list(orders.values())
 
 
@@ -214,9 +246,10 @@ def build_table(n: int, pruning: str = "none", workers: int | None = None) -> Si
         raise ValueError(f"order must be >= 1, got {n}")
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
-    [(_, den, masks, nums)] = _lattice(n, workers)
-    values, rev = [Fraction(0)] * (1 << n), _reversal(n)
-    for mask, num in zip(masks, nums):
+    [(_, den, _, nums)] = _lattice(n, workers)
+    values, rev, top = [Fraction(0)] * (1 << n), _reversal(n), (1 << n) - 1
+    for f, num in enumerate(nums):
+        mask = (f ^ f << 1) & top  # the Gray map: P-lane f holds the value at mask
         if pruning == "none":
             values[mask] = Fraction(num, den)
         elif _odd_plus(n, mask) and mask <= (partner := rev[mask]):
@@ -226,13 +259,16 @@ def build_table(n: int, pruning: str = "none", workers: int | None = None) -> Si
 
 
 def _transform(n: int, den: int, t: list[int]) -> tuple[int, list[int]]:
-    """(den 2**n, graded-lex numerators) of the order-n term whose table
-    holds t[mask] / den: the Walsh-Hadamard transform on ints.  Each pass
-    transforms the lowest index bit and rotates it to the top."""
+    """(den 2**n, graded-lex numerators) of the order-n term whose P-order
+    lanes hold t[f] / den: the Walsh-Hadamard transform on ints.  Each pass
+    transforms the lowest index bit and rotates it to the top.  The word
+    with y at the set bits of Y takes sum_f t[f] (-1)**|Y & (f ^ f << 1)|,
+    and |Y & (f ^ f << 1)| = |(Y ^ Y >> 1) & f| mod 2, so it reads index
+    Y ^ Y >> 1; Y's bit 0 is position 1, graded-lex's top digit."""
     for _ in range(n):
         even, odd = t[0::2], t[1::2]
         t = [*map(add, even, odd), *map(sub, even, odd)]
-    return den << n, [t[k] for k in _reversal(n)]  # mask bit 0 is position 1, graded-lex's top digit
+    return den << n, [t[y ^ y >> 1] for y in _reversal(n)]
 
 
 def reconstruct_term(
@@ -250,10 +286,10 @@ def reconstruct_term(
     if not table.is_complete():
         raise ValueError(f"table incomplete: {len(table.values)} of {1 << n} assignments")
     alphabet = alphabet or Alphabet.default(2)
-    # one common denominator, so the butterflies run on ints
-    den = lcm(*(v.denominator for v in table.values))
+    # one common denominator, so the butterflies run on ints, over the P-order lanes
+    den, top = lcm(*(v.denominator for v in table.values)), (1 << n) - 1
     t = [v.numerator * (den // v.denominator) for v in table.values]
-    return NCSeries.from_lex(alphabet, n, *_transform(n, den, t))
+    return NCSeries.from_lex(alphabet, n, *_transform(n, den, [t[(f ^ f << 1) & top] for f in range(1 << n)]))
 
 
 def lattice_terms(n: int) -> list[tuple[int, list[int]]]:
@@ -287,10 +323,17 @@ def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport
     if n_max < 1:
         raise ValueError(f"order must be >= 1, got {n_max}")
     reports = []
-    for n, _, masks, nums in _lattice(n_max, workers, low=1):
-        zeros = [mask for mask, num in zip(masks, nums) if not num and _odd_plus(n, mask)]
-        structural = int(n > 1 and n % 2 == 1 and zeros[:1] == [0])  # all-plus is mask 0
-        unexpected = [_mask_signs(n, mask) for mask in zeros[structural:]]
-        evaluated = len(masks) >> 1  # half of the n-bit masks have an odd +1 count
-        reports.append(ScanReport(n, (1 << n) - evaluated, structural, evaluated - len(zeros), unexpected))
+    for n, _, _, nums in _lattice(n_max, workers, low=1):
+        # a mask's parity is its P-lane's top bit: the odd-plus lanes are the
+        # lower half for odd n, the upper half for even n
+        evaluated = len(nums) >> 1
+        lo = evaluated if n % 2 == 0 else 0
+        zeros = countOf(islice(nums, lo, lo + evaluated), 0)
+        structural = int(n > 1 and n % 2 == 1 and nums[0] == 0)  # all-plus is P-lane 0
+        unexpected = []
+        if zeros > structural:
+            top = (1 << n) - 1
+            masks = sorted((f ^ f << 1) & top for f in range(lo + structural, lo + evaluated) if nums[f] == 0)
+            unexpected = [_mask_signs(n, mask) for mask in masks]
+        reports.append(ScanReport(n, (1 << n) - evaluated, structural, evaluated - zeros, unexpected))
     return reports

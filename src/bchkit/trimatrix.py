@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -34,7 +35,7 @@ class SeriesSpec:
     Coefficients past the end of the stored tuple are zero, so the
     polynomial 1 + t is simply ``SeriesSpec.from_coeffs([1, 1])``.  Trailing
     zeros are trimmed on construction, so equal series are equal specs with
-    equal hashes.
+    equal hashes.  The hash is kept: memo keys hash the spec on every lookup.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -46,14 +47,19 @@ class SeriesSpec:
         while end > 1 and self.coeffs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", self.coeffs[:end])
+        object.__setattr__(self, "_hash", hash(self.coeffs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Rational | int | str]) -> "SeriesSpec":
         return cls(tuple(Fraction(v) for v in values))
 
     @classmethod
+    @cache
     def exponential(cls, max_degree: int) -> "SeriesSpec":
-        """exp truncated at t**max_degree: c_k = 1/k!."""
+        """exp truncated at t**max_degree: c_k = 1/k!, one spec per degree."""
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         return cls(tuple(Fraction(1, factorial(k)) for k in range(max_degree + 1)))

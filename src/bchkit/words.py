@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .multilinear import ExactCombination, Rational
@@ -108,13 +107,6 @@ class NCSeries(ExactCombination):
         result = cls(alphabet, degree)
         result.terms = {w: values[c] for w, c in zip(words, filter(None, nums))}
         return result
-
-    def to_lex(self, degree: int) -> tuple[int, list[int]]:
-        """What ``from_lex`` reads back as the words of length ``degree``: the lcm
-        of their denominators and every one's numerator over it, zeros included."""
-        coeffs = [self.terms.get(w, 0) for w in product(range(self.alphabet.size), repeat=degree)]
-        den = lcm(*(c.denominator for c in coeffs))
-        return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
     def coefficient(self, word: Word) -> Fraction:
         return self.terms.get(tuple(word), Fraction(0))

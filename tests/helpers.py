@@ -116,10 +116,36 @@ def eval_assignment_reference(n: int, signs) -> Fraction:
     return Fraction(acc, big * factorial(n))
 
 
-def lane_leaves(lanes) -> list[tuple[int, int, Fraction]]:
-    """``signedeval._walk``'s or ``_lattice``'s lanes as (order, mask, value)
-    leaves, in lane order, so tests compare values with the reference."""
-    return [(d, mask, Fraction(num, den)) for d, den, masks, nums in lanes for mask, num in zip(masks, nums)]
+def lane_masks(d: int, start: int, depth: int) -> list[int]:
+    """The masks of an order-d run of P-lanes from ``start``, one every
+    2**depth: P-lane f (bit t-1 set when s_1 ... s_t = -1) is the mask with
+    bit i set when s_{i+1} = -1, written out sign by sign."""
+    masks = []
+    for f in range(start, 1 << d, 1 << depth):
+        prefix = [1] + [-1 if (f >> t) & 1 else 1 for t in range(d)]
+        masks.append(sum(1 << i for i in range(d) if prefix[i] * prefix[i + 1] < 0))
+    return masks
+
+
+def lane_leaves(lanes, depth: int = 0) -> list[tuple[int, int, Fraction]]:
+    """``signedeval._walk``'s lanes of a subtree at ``depth``, or ``_lattice``'s
+    (one depth-0 run per order), as (order, mask, value) leaves, in lane
+    order, so tests compare values with the reference."""
+    return [
+        (d, mask, Fraction(num, den))
+        for d, den, start, nums in lanes
+        for mask, num in zip(lane_masks(d, start, depth), nums, strict=True)
+    ]
+
+
+def to_lex(series: NCSeries, degree: int) -> tuple[int, list[int]]:
+    """What ``NCSeries.from_lex`` reads back as the words of length ``degree``:
+    the lcm of their denominators and every one's numerator over it, zeros
+    included.  The reference form ``freealgebra.oracle_lanes`` is checked
+    against."""
+    coeffs = [series.terms.get(w, 0) for w in itertools.product(range(series.alphabet.size), repeat=degree)]
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def expand_commutators_reference(terms, alphabet) -> NCSeries:

@@ -17,6 +17,7 @@ from bchkit.dynkin import dynkin_substitute
 from bchkit.freealgebra import oracle_bch
 from bchkit.trimatrix import SeriesSpec
 from bchkit.words import Alphabet, NCSeries
+from helpers import lane_masks
 
 
 @pytest.fixture(autouse=True)
@@ -471,8 +472,8 @@ class TestVerify:
 
         def raised(*args):
             lanes = lattice(*args)
-            [(_, den, masks, nums)] = [order for order in lanes if order[0] == 5]
-            nums[masks.index(0b11111)] += 1
+            [(_, den, start, nums)] = [order for order in lanes if order[0] == 5]
+            nums[lane_masks(5, start, 0).index(0b11111)] += 1  # the P-lane of the all-minus mask
             return lanes
 
         monkeypatch.setattr(signedeval, "_lattice", raised)
@@ -718,6 +719,23 @@ def test_term_stdout_matches_matrix_kernel_digest(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TERM_DIGESTS[command]
+
+
+# signed-route stdout recorded at commit fb27f70, whose sign lattice joined
+# each subtree's lanes by mask, before the lanes stayed in prefix-product
+# order: serial and pooled scans share one join, so a diff of the two cannot
+# see a join fault that these can; scan 13 runs its top order as 2 subtrees
+SIGNED_DIGESTS = {
+    "scan 13": "dfcff31c679f7b34dedead349d6a539db16e7c95989a77e3b601e41225ec126f",
+    "verify 13 --modes signed": "f002991132f3d733d4bfe21dd6b4ef9c5c4a50926ac3924903721dfac9e26d31",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIGNED_DIGESTS))
+def test_signed_stdout_matches_mask_join_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIGNED_DIGESTS[command]
 
 
 @pytest.mark.parametrize("command", sorted({**DIGESTS, **TERM_DIGESTS}))

@@ -12,10 +12,12 @@ from fractions import Fraction
 import pytest
 
 from bchkit import signedeval
+from bchkit.cli import main
 from bchkit.series import bch_term
 from bchkit.signedeval import (
     POOL_MIN_MASKS,
     PRUNING_MODES,
+    SUBTREE_LANES,
     SignedCoefficientTable,
     _mask_signs,
     _odd_plus,
@@ -29,7 +31,7 @@ from bchkit.signedeval import (
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet, NCSeries
-from helpers import eval_assignment_reference, lane_leaves
+from helpers import eval_assignment_reference, lane_leaves, lane_masks
 
 A2 = Alphabet.default(2)
 
@@ -113,14 +115,14 @@ class TestWalk:
         mask = random.Random(n).randrange(1 << n)
         expected = [(n, mask, eval_assignment_reference(n, _mask_signs(n, mask)))]
         assert [leaf for leaf in lane_leaves(_walk(n, 0, 0)) if leaf[1] == mask] == expected
-        assert lane_leaves(_walk(n, mask, n)) == expected
+        assert lane_leaves(_walk(n, mask, n), n) == expected
         assert eval_assignment(n, _mask_signs(n, mask)) == expected[0][2]
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_subtrees_at_each_depth_partition_the_lattice(self, n):
         whole = sorted(lane_leaves(_walk(n, 0, 0)))
         for depth in range(n + 1):
-            parts = [lane_leaves(_walk(n, root, depth)) for root in range(1 << depth)]
+            parts = [lane_leaves(_walk(n, root, depth), depth) for root in range(1 << depth)]
             for root, part in enumerate(parts):
                 assert all(mask % (1 << depth) == root for _, mask, _ in part)
             assert sorted(leaf for part in parts for leaf in part) == whole
@@ -200,7 +202,7 @@ class TestLowerOrders:
     def test_subtrees_emit_each_order_and_mask_once(self, n):
         # a prefix shorter than depth comes only from the subtree rooted at it
         for depth in range(n + 1):
-            leaves = [leaf for root in range(1 << depth) for leaf in lane_leaves(_walk(n, root, depth, 1))]
+            leaves = [leaf for root in range(1 << depth) for leaf in lane_leaves(_walk(n, root, depth, 1), depth)]
             pairs = [(d, mask) for d, mask, _ in leaves]
             assert len(pairs) == len(set(pairs))
             assert sorted(pairs) == [(d, m) for d in range(1, n + 1) for m in range(1 << d)]
@@ -307,9 +309,9 @@ class TestBuildTable:
         pairs = {min(m, int(f"{m:0{n}b}"[::-1], 2)) for m in odd_plus}  # m and its bits reversed
         exact = {pruning: build_table(n, pruning).values for pruning in PRUNING_MODES}
 
-        def corrupted(*args):
-            return [(d, den, masks, [num if m in pairs else num + 7 for m, num in zip(masks, nums)])
-                    for d, den, masks, nums in _walk(*args)]
+        def corrupted(order, root, depth, low=None):
+            return [(d, den, start, [num if m in pairs else num + 7 for m, num in zip(lane_masks(d, start, depth), nums)])
+                    for d, den, start, nums in _walk(order, root, depth, low)]
 
         monkeypatch.setattr(signedeval, "_walk", corrupted)
         assert build_table(n, "symmetry").values == exact["symmetry"]
@@ -407,6 +409,52 @@ class TestScan:
         assert [vars(r) for r in scan_nonvanishing(n)] == census(n)
 
 
+class TestUnexpectedZero:
+    """An odd-plus lane that evaluates to zero, past the all-plus one, is the
+    one scan result that turns P-lanes back into masks.  The walk is patched
+    to zero chosen masks, whose P-lanes run in another order than the
+    masks: lanes at both ends of the odd-plus half, and P-lane 1 next to the
+    structural zero."""
+
+    @pytest.mark.parametrize(
+        "n,subtree_lanes,zeroed",
+        [
+            (7, SUBTREE_LANES, {7: [65, 6, 5, 3]}),  # odd order: P-lanes 63, 2, 3, 1 of the lower half
+            (8, SUBTREE_LANES, {8: [128, 84, 1]}),  # even order: P-lanes 128, 204, 255 of the upper half
+            (9, 1 << 4, {9: [257, 240, 24, 20], 4: [8, 7]}),  # depth 5: the order-4 lanes from their roots
+        ],
+        ids=["odd", "even", "subtrees"],
+    )
+    def test_zeroed_lanes_are_reported_in_mask_order(self, capsys, monkeypatch, n, subtree_lanes, zeroed):
+        for d, masks in zeroed.items():
+            lanes = lane_masks(d, 0, 0)
+            assert all(_odd_plus(d, m) for m in masks)
+            assert sorted(masks, key=lanes.index) != sorted(masks)  # P-order is not mask order
+        expected = [vars(r) for r in scan_nonvanishing(n)]
+        walk = signedeval._walk
+
+        def zeroing(order, root, depth, low=None):
+            out = walk(order, root, depth, low)
+            for d, _, start, nums in out:
+                for i, mask in enumerate(lane_masks(d, start, depth)):
+                    if mask in zeroed.get(d, ()):
+                        nums[i] = 0
+            return out
+
+        monkeypatch.setattr(signedeval, "SUBTREE_LANES", subtree_lanes)
+        monkeypatch.setattr(signedeval, "_walk", zeroing)
+        lines = []
+        for d, masks in sorted(zeroed.items()):
+            expected[d - 1]["nonzero"] -= len(masks)
+            expected[d - 1]["unexpected"] = [_mask_signs(d, m) for m in sorted(masks)]
+            lines += ["".join("-" if m >> i & 1 else "+" for i in range(d)) for m in sorted(masks)]
+        assert [vars(r) for r in scan_nonvanishing(n)] == expected
+        assert main(["scan", str(n)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert [line.removeprefix("  unexpected zero at ") for line in out if line.startswith("  ")] == lines
+        assert out[-1] == f"{len(lines)} unexpected vanishing(s) found"
+
+
 class TestWorkerCap:
     """The pool is replaced by an in-process fake, so no process starts."""
 
@@ -465,7 +513,7 @@ class TestWorkerCap:
         masks = []
         for order, root, depth, low in jobs:
             assert (order, low) == (n, None)
-            leaves = lane_leaves(_walk(order, root, depth, low))
+            leaves = lane_leaves(_walk(order, root, depth, low), depth)
             assert all(mask % (1 << depth) == root for _, mask, _ in leaves)
             masks += [mask for _, mask, _ in leaves]
         assert sorted(masks) == list(range(1 << n))
@@ -533,6 +581,6 @@ class TestWorkerCap:
         scan_nonvanishing(n, workers)
         [(_, [jobs])] = pools
         assert len(jobs) >= 2 * workers
-        pairs = [(d, mask) for job in jobs for d, mask, _ in lane_leaves(_walk(*job))]
+        pairs = [(d, mask) for job in jobs for d, mask, _ in lane_leaves(_walk(*job), job[2])]
         assert len(pairs) == len(set(pairs))
         assert sorted(pairs) == [(d, m) for d in range(1, n + 1) for m in range(1 << d)]
