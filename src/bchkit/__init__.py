@@ -33,7 +33,7 @@ from .signedeval import (
     reconstruct_term,
     scan_nonvanishing,
 )
-from .freealgebra import TruncatedNCSeries, nc_exp, nc_log, nc_mul, oracle_bch
+from .freealgebra import TruncatedNCSeries, nc_mul, oracle_bch
 from .output import OutputDocument
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
     "log_upper_right",
     "logf_term",
     "mat_mul",
-    "nc_exp",
-    "nc_log",
     "nc_mul",
     "oracle_bch",
     "reconstruct_term",

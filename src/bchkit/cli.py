@@ -5,7 +5,7 @@ routes, each run once at its top order, on integer numerators per order),
 scan (nonvanishing census of the sign lattice), bench (timing).
 Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 invalid arguments (including orders over the series.MAX_WORDS
-size limit), 2 verification mismatch, 3 I/O failure.
+size limit) or out of memory, 2 verification mismatch, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-# dynkin_substitute, expand_commutators and oracle_bch: perfbench/tracing.py wraps them
+# dynkin_substitute, expand_commutators, oracle_bch and reconstruct_term:
+# perfbench/tracing.py wraps them
 from .dynkin import _expand_lex, dynkin_substitute, expand_commutators
 from .freealgebra import oracle_bch, oracle_lanes
 from .output import (
@@ -32,10 +33,10 @@ from .output import (
     cache_load,
     cache_store,
 )
-from .series import Stages, check_order, lex_lanes, term_lanes, term_uncached
-from .signedeval import build_table, lattice_terms, reconstruct_term, scan_nonvanishing
+from .series import Stages, check_order, lex_lanes, term_lanes
+from .signedeval import lattice_terms, reconstruct_term, scan_nonvanishing
 from .trimatrix import SeriesSpec
-from .words import Alphabet, NCSeries
+from .words import Alphabet
 
 
 class UsageError(Exception):
@@ -315,22 +316,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for n in range(lo, hi + 1):
         exp = SeriesSpec.exponential(n)
-
-        def symbolic() -> NCSeries:
-            return term_uncached(n, [exp, exp])
-
-        def signed() -> NCSeries:
-            return reconstruct_term(n, build_table(n, "symmetry"))
-
-        sym_terms = len(symbolic().terms)
-        sig_terms = len(signed().terms)
-        rows.append(
-            {
-                "n": n,
-                "symbolic": {"terms": sym_terms, "seconds": _median_seconds(symbolic, args.repeat)},
-                "signed": {"terms": sig_terms, "seconds": _median_seconds(signed, args.repeat)},
-            }
-        )
+        # the calls of term n --no-cache and of verify --modes signed, each
+        # handing out the order-n numerators; terms counts the nonzero ones
+        routes = {"symbolic": lambda: lex_lanes(n, [exp, exp])[1],
+                  "signed": lambda: lattice_terms(n)[-1][1]}
+        row: dict = {"n": n}
+        for name, route in routes.items():
+            nums = route()
+            row[name] = {"terms": len(nums) - nums.count(0), "seconds": _median_seconds(route, args.repeat)}
+        rows.append(row)
     if args.format == "json":
         import json
 
@@ -353,4 +347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1

@@ -7,21 +7,24 @@ denominator, word w at flat(w) = sum_i (w_i + 1) m^(|w|-1-i): graded-lex
 order, the length-L words from (m^L - 1)/(m - 1).  Since
 flat(uv) = m^|v| flat(u) + flat(v), carrying one word v onto every u that
 fits under the cap is one strided slice update; every fitting pair of words
-is still multiplied.  One oracle run at the top order answers a ``verify`` route.
+is still multiplied.  The oracle writes each factor f_k(a_k) straight into a
+flat list, multiplies them and takes the log power sum, all on integers; one
+run at the top order answers a ``verify`` route, as lanes per order.
+``nc_mul`` is the one entry on word series, for the tests and the tracer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 
-from .series import MAX_WORDS
+from .series import MAX_WORDS, check_order
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries
 
-# Public name kept for importers; the oracle works on the shared word series.
+# Public name kept for importers; nc_mul works on the shared word series.
 TruncatedNCSeries = NCSeries
 
 
@@ -65,22 +68,18 @@ def _concat(a: list[int], b: list[int], m: int, cap: int, low: int = 0) -> list[
     return out
 
 
-def _power_sum(x: list[int], dx: int, m: int, cap: int, log: bool) -> tuple[list[int], int]:
-    """sum_k w_k (x/dx)^k, k = 0..cap, x without its constant: w_k = 1/k! for
-    exp, (-1)^(k+1)/k and w_0 = 0 for log; it stops once x^k vanishes.  x^k is
-    integers over dx**k, so every term is an integer over lcm(w) * dx**cap."""
-    weights = [Fraction(1, factorial(k)) for k in range(cap + 1)]
-    if log:
-        weights = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, cap + 1)]
-    big = lcm(*(w.denominator for w in weights))
+def _power_sum(x: list[int], dx: int, m: int, cap: int) -> tuple[list[int], int]:
+    """log(x/dx) = sum_k (-1)^(k+1)/k (x/dx - 1)^k, k = 1..cap, for x/dx with
+    constant term 1; it stops once (x/dx - 1)^k vanishes.  That power is
+    integers over dx**k, so every term is an integer over lcm(1..cap) * dx**cap."""
+    big = lcm(*range(1, cap + 1))
     x, power = [0, *x[1:]], [1] + [0] * (len(x) - 1)
     acc = [0] * len(x)
-    for k, w in enumerate(weights):
-        if k:
-            power = _concat(power, x, m, cap, k - 1)
-            if not any(power):
-                break
-        scale = w.numerator * (big // w.denominator) * dx ** (cap - k)
+    for k in range(1, cap + 1):
+        power = _concat(power, x, m, cap, k - 1)
+        if not any(power):
+            break
+        scale = (-1) ** (k + 1) * (big // k) * dx ** (cap - k)
         acc = list(map(add, acc, map(mul, power, repeat(scale))))
     return acc, big * dx**cap
 
@@ -92,57 +91,33 @@ def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     return _series(a.alphabet, a.max_degree, _concat(fa, fb, a.alphabet.size, a.max_degree), da * db)
 
 
-def nc_exp(a: NCSeries) -> NCSeries:
-    """sum_{k=0}^{n} a^k / k! for a with zero constant term."""
-    if a.coefficient(()) != 0:
-        raise ValueError("nc_exp needs a zero constant term")
-    return _series(a.alphabet, a.max_degree, *_power_sum(*_flat(a), a.alphabet.size, a.max_degree, log=False))
-
-
-def nc_log(a: NCSeries) -> NCSeries:
-    """-sum_{q=1}^{n} ((-1)^q / q) (a - 1)^q for a with constant term 1."""
-    if a.coefficient(()) != 1:
-        raise ValueError("nc_log needs constant term exactly 1")
-    return _series(a.alphabet, a.max_degree, *_power_sum(*_flat(a), a.alphabet.size, a.max_degree, log=True))
-
-
-def series_at_letter(f: SeriesSpec, alphabet: Alphabet, max_degree: int, index: int) -> NCSeries:
-    """f evaluated at a single letter: sum_k c_k letter^k up to the cap."""
-    terms = {(index,) * k: f.coeff(k) for k in range(max_degree + 1)}
-    return NCSeries(alphabet, max_degree, terms)
-
-
-def _oracle(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None) -> tuple[Alphabet, list[int], int]:
+def _oracle(n: int, m: int, f_list: list[SeriesSpec]) -> tuple[list[int], int]:
     """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, as flat integers over
     one denominator.  Its length-d words are z_d for every d <= n: concatenation
     never shortens a word, so truncating at n drops nothing of degree <= n."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     if m < 2:
         raise ValueError(f"factor count must be >= 2, got {m}")
     if len(f_list) != m:
         raise ValueError(f"expected {m} series, got {len(f_list)}")
-    alphabet = alphabet or Alphabet.default(m)
-    if alphabet.size != m:
-        raise ValueError(f"alphabet has {alphabet.size} letters, need {m}")
-    flat, den = _flat(NCSeries(alphabet, n, {(): 1}))
+    check_order(n, m)
+    starts = _starts(m, n)
+    flat, den = [1] + [0] * (starts[-1] - 1), 1
     for k, f in enumerate(f_list):
-        factor, dk = _flat(series_at_letter(f, alphabet, n, k))
+        # f(a_k): c_j on the word a_k^j, at flat index (k+1)(m^j - 1)/(m - 1)
+        coeffs = [f.coeff(j) for j in range(n + 1)]
+        dk = lcm(*(c.denominator for c in coeffs))
+        factor = [0] * starts[-1]
+        for j, c in enumerate(coeffs):
+            factor[(k + 1) * starts[j]] = c.numerator * (dk // c.denominator)
         flat, den = _concat(flat, factor, m, n), den * dk
     g = gcd(den, *flat)  # unreduced, the power sum's ints double in width
-    return (alphabet, *_power_sum([c // g for c in flat], den // g, m, n, log=True))
-
-
-def oracle_log(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
-    """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, by direct expansion."""
-    alphabet, flat, den = _oracle(n, m, f_list, alphabet)
-    return _series(alphabet, n, flat, den)
+    return _power_sum([c // g for c in flat], den // g, m, n)
 
 
 def oracle_lanes(n: int, m: int, f_list: list[SeriesSpec]) -> list[tuple[int, list[int]]]:
     """(den_d, numerators of the length-d words in graded-lex order) for
     d = 1..n, each order over the lowest denominator that holds it."""
-    _, flat, den = _oracle(n, m, f_list, None)
+    flat, den = _oracle(n, m, f_list)
     starts = _starts(m, n)
     orders = [flat[lo:hi] for lo, hi in zip(starts[1:], starts[2:])]
     return [(den // g, [c // g for c in nums]) for nums in orders for g in [gcd(den, *nums)]]

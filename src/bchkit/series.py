@@ -223,7 +223,3 @@ def clear_term_cache() -> None:
     """Drop memoized terms (benchmarking support)."""
     _lanes.cache_clear()
 
-
-def term_uncached(n: int, f_list: Sequence[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
-    """One full pipeline run bypassing the memo cache (benchmarking support)."""
-    return NCSeries.from_lex(alphabet or Alphabet.default(len(f_list)), n, *lex_lanes(n, f_list))

@@ -11,7 +11,6 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from bchkit.freealgebra import series_at_letter
 from bchkit.multilinear import MultilinearPoly
 from bchkit.trimatrix import TriMatrix, mat_mul
 from bchkit.words import Alphabet, NCSeries, Word
@@ -201,17 +200,6 @@ def nc_mul_reference(a: NCSeries, b: NCSeries) -> NCSeries:
     return result
 
 
-def nc_exp_reference(a: NCSeries) -> NCSeries:
-    """sum_k a^k / k! through nc_mul_reference, one Fraction sum per power."""
-    acc = power = NCSeries(a.alphabet, a.max_degree, {(): 1})
-    for k in range(1, a.max_degree + 1):
-        power = nc_mul_reference(power, a)
-        if not power.terms:
-            break
-        acc = acc + power.scaled(Fraction(1, factorial(k)))
-    return acc
-
-
 def nc_log_reference(a: NCSeries) -> NCSeries:
     """-sum_q ((-1)^q / q) (a - 1)^q through nc_mul_reference."""
     power = NCSeries(a.alphabet, a.max_degree, {(): 1})
@@ -223,6 +211,12 @@ def nc_log_reference(a: NCSeries) -> NCSeries:
             break
         acc = acc + power.scaled(Fraction((-1) ** (q + 1), q))
     return acc
+
+
+def series_at_letter(f, alphabet: Alphabet, max_degree: int, index: int) -> NCSeries:
+    """f evaluated at a single letter: sum_k c_k letter^k up to the cap."""
+    terms = {(index,) * k: f.coeff(k) for k in range(max_degree + 1)}
+    return NCSeries(alphabet, max_degree, terms)
 
 
 def oracle_log_reference(n: int, m: int, f_list) -> NCSeries:

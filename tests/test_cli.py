@@ -645,6 +645,36 @@ class TestBench:
         assert code == 1
         assert "range" in err
 
+    # nonzero words of z_1 .. z_12, as bench printed them when it still
+    # counted the words of an NCSeries term on both routes
+    TERMS = [2, 2, 6, 4, 30, 28, 126, 124, 390, 388, 2046, 2044]
+
+    def test_terms_columns_are_pinned(self, capsys):
+        code, out, _ = run(capsys, "bench", "1..12", "--repeat", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 13))
+        assert [row["symbolic"]["terms"] for row in rows] == self.TERMS
+        assert [row["signed"]["terms"] for row in rows] == self.TERMS
+
+
+class TestOutOfMemory:
+    @pytest.fixture(autouse=True)
+    def exhausted(self, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        # the kernel entries of term and of verify's pipeline side
+        for name in ("lex_lanes", "term_lanes"):
+            monkeypatch.setattr(cli, name, exhaust)
+
+    def test_term_is_one_stderr_line_and_no_cache_entry(self, capsys, isolated_cache):
+        assert run(capsys, "term", "5") == (1, "", "error: out of memory\n")
+        assert not list(isolated_cache.glob("*"))
+
+    def test_verify_exits_one(self, capsys):
+        assert run(capsys, "verify", "3") == (1, "", "error: out of memory\n")
+
 
 class TestSizeLimit:
     @pytest.fixture
@@ -652,7 +682,7 @@ class TestSizeLimit:
         def refuse(*args, **kwargs):
             raise AssertionError("work started on an order over the size limit")
 
-        for name in ("_parse_series", "lex_lanes", "scan_nonvanishing", "term_uncached"):
+        for name in ("_parse_series", "lex_lanes", "scan_nonvanishing", "lattice_terms"):
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize(

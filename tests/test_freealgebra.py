@@ -3,26 +3,20 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bchkit.freealgebra import (
-    nc_exp,
-    nc_log,
-    nc_mul,
-    oracle_bch,
-    oracle_lanes,
-    oracle_log,
-    series_at_letter,
-)
+from bchkit.freealgebra import nc_mul, oracle_bch, oracle_lanes
 from bchkit.series import MAX_WORDS, bch_term, bch_term_multi
 from bchkit.trimatrix import SeriesSpec
 from bchkit.words import Alphabet, NCSeries
-from helpers import nc_exp_reference, nc_log_reference, nc_mul_reference, oracle_log_reference, to_lex
+from helpers import nc_log_reference, nc_mul_reference, oracle_log_reference, series_at_letter, to_lex
 
 A2 = Alphabet.default(2)
 A3 = Alphabet.default(3)
+ONE = SeriesSpec.from_coeffs([1])
 
 
 def x(cap):
@@ -123,16 +117,6 @@ class TestIntegerArithmetic:
         self.assert_same(nc_mul(a, b), nc_mul_reference(a, b))
         self.assert_same(nc_mul(b, a), nc_mul_reference(b, a))
 
-    @given(series(constant=0))
-    def test_exp_matches_reference(self, pair):
-        for a in pair:
-            self.assert_same(nc_exp(a), nc_exp_reference(a))
-
-    @given(series(constant=1))
-    def test_log_matches_reference(self, pair):
-        for a in pair:
-            self.assert_same(nc_log(a), nc_log_reference(a))
-
     @pytest.mark.parametrize("alphabet", [A2, A3])
     def test_cancelled_word_is_absent(self, alphabet):
         # (1/2 + x/3)(2 - 4x/3): the x terms cancel, 1/3 * 2 - 1/2 * 4/3 = 0
@@ -141,10 +125,12 @@ class TestIntegerArithmetic:
         got = nc_mul(a, b)
         assert got.terms == {(): 1, (0, 0): Fraction(-4, 9)}
         self.assert_same(got, nc_mul_reference(a, b))
-        # log(exp(t)) = t: the power sum cancels every word longer than one letter
-        t = NCSeries(alphabet, 3, {(0,): Fraction(1, 2), (1,): Fraction(-3, 7)})
-        self.assert_same(nc_log(nc_exp(t)), t)
-        self.assert_same(nc_log(nc_exp(t)), nc_log_reference(nc_exp_reference(t)))
+        # log(exp(-3x/7)) = -3x/7: the power sum cancels every word longer than one letter
+        m = alphabet.size
+        exp_t = SeriesSpec.from_coeffs([Fraction(-3, 7) ** k / factorial(k) for k in range(4)])
+        assert oracle_lanes(3, m, [exp_t] + [ONE] * (m - 1)) == [
+            (7, [-3] + [0] * (m - 1)), (1, [0] * m**2), (1, [0] * m**3)
+        ]
 
     @pytest.mark.parametrize("alphabet", [A2, A3])
     def test_zero_series(self, alphabet):
@@ -153,41 +139,23 @@ class TestIntegerArithmetic:
         assert nc_mul(zero, a).terms == {}
         assert nc_mul(a, zero).terms == {}
         assert nc_mul(zero, zero).terms == {}
-        assert nc_exp(zero).terms == {(): 1}
-        assert nc_log(NCSeries(alphabet, 3, {(): 1})).terms == {}
+        # log(1 1 ...) = 0
+        m = alphabet.size
+        assert oracle_lanes(3, m, [ONE] * m) == [(1, [0] * m**d) for d in (1, 2, 3)]
 
 
 class TestExpLog:
-    def test_exp_of_single_letter(self):
-        got = nc_exp(x(3))
-        assert got.terms == {
-            (): 1,
-            (0,): 1,
-            (0, 0): Fraction(1, 2),
-            (0, 0, 0): Fraction(1, 6),
-        }
-
-    def test_exp_needs_zero_constant(self):
-        with pytest.raises(ValueError):
-            nc_exp(one(2))
-
-    def test_log_needs_unit_constant(self):
-        with pytest.raises(ValueError):
-            nc_log(x(2))
-
     def test_log_exp_round_trip(self):
-        s = x(4) + y(4)
-        assert nc_log(nc_exp(s)) == s
-
-    def test_exp_log_round_trip(self):
-        s = one(4) + x(4)
-        assert nc_exp(nc_log(s)) == s
+        # log(e^x 1) = x and log(1 e^y) = y, every longer word cancelled
+        exp = SeriesSpec.exponential(4)
+        zeros = [(1, [0] * 2**d) for d in (2, 3, 4)]
+        assert oracle_lanes(4, 2, [exp, ONE]) == [(1, [1, 0]), *zeros]
+        assert oracle_lanes(4, 2, [ONE, exp]) == [(1, [0, 1]), *zeros]
 
     def test_degree_two_slice_of_log_product(self):
-        z = nc_log(nc_mul(nc_exp(x(2)), nc_exp(y(2))))
-        assert degree_slice(z, 2) == NCSeries(
-            A2, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
-        )
+        # x + y, then xy/2 - yx/2
+        exp = SeriesSpec.exponential(2)
+        assert oracle_lanes(2, 2, [exp, exp]) == [(1, [1, 1]), (2, [0, 1, -1, 0])]
 
 
 class TestOracleBch:
@@ -245,15 +213,16 @@ class TestOracleBch:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_direct_series_matches_exp_log_construction(self, n):
-        # oracle_bch builds f(letter) from coefficients; rebuilding the same
-        # thing from nc_exp alone guards the shared coefficient table
+        # oracle_bch builds f(letter) from SeriesSpec coefficients; rebuilding
+        # e^x and e^y from factorials alone guards the shared coefficient table
         exp = SeriesSpec.exponential(n)
         via_coeffs = oracle_bch(n, 2, [exp, exp])
-        product = nc_mul(nc_exp(x(n)), nc_exp(y(n)))
-        via_exp = degree_slice(nc_log(product), n)
+        ex, ey = (NCSeries(A2, n, {(k,) * j: Fraction(1, factorial(j)) for j in range(n + 1)}) for k in (0, 1))
+        via_exp = degree_slice(nc_log_reference(nc_mul(ex, ey)), n)
         assert via_coeffs == via_exp
 
     def test_series_at_letter(self):
+        # the reference oracle's factor builder, from the test helpers
         f = SeriesSpec.from_coeffs([1, 0, Fraction(2, 3)])
         s = series_at_letter(f, A2, 4, 1)
         assert s.terms == {(): 1, (1, 1): Fraction(2, 3)}
@@ -280,7 +249,8 @@ def seeded_specs(m, top):
 
 
 class TestOracleLog:
-    """The log truncated at N holds every lower order: oracle_bch is its slice."""
+    """The log truncated at N holds every lower order: each order of one run is
+    the reference's slice, the top order of a run at that order, and oracle_bch."""
 
     @pytest.mark.parametrize(
         "m,top,specs",
@@ -293,22 +263,25 @@ class TestOracleLog:
         ids=["exp-m2", "exp-m3", "random-m2", "random-m3"],
     )
     def test_every_order_is_a_slice_of_the_top_run(self, m, top, specs):
-        log = oracle_log(top, m, specs)
-        assert log.max_degree == top
-        assert {len(w) for w in log.terms} <= set(range(1, top + 1))
+        lanes = oracle_lanes(top, m, specs)
+        ref = oracle_log_reference(top, m, specs)
+        assert len(lanes) == top
+        alphabet = Alphabet.default(m)
         for n in range(1, top + 1):
-            assert degree_slice(log, n) == oracle_bch(n, m, specs), f"n={n}"
+            assert lanes[n - 1] == to_lex(ref, n), f"n={n}"
+            assert lanes[n - 1] == oracle_lanes(n, m, specs)[-1], f"n={n}"
+            assert NCSeries.from_lex(alphabet, n, *lanes[n - 1]) == oracle_bch(n, m, specs), f"n={n}"
 
     def test_argument_validation(self):
         exp = SeriesSpec.exponential(2)
         with pytest.raises(ValueError, match="order"):
-            oracle_log(0, 2, [exp, exp])
+            oracle_lanes(0, 2, [exp, exp])
         with pytest.raises(ValueError, match="factor count"):
-            oracle_log(2, 1, [exp])
+            oracle_lanes(2, 1, [exp])
         with pytest.raises(ValueError, match="expected 3 series"):
-            oracle_log(2, 3, [exp, exp])
-        with pytest.raises(ValueError, match="letters"):
-            oracle_log(2, 2, [exp, exp], A3)
+            oracle_lanes(2, 3, [exp, exp])
+        with pytest.raises(ValueError, match="3\\^2 words"):
+            oracle_bch(2, 2, [exp, exp], A3)
 
 
 class TestFlatEngine:
@@ -327,14 +300,14 @@ class TestFlatEngine:
     )
     def test_log_and_lanes_match_the_reference(self, m, top, specs):
         ref = oracle_log_reference(top, m, specs)
-        assert oracle_log(top, m, specs) == ref
         assert oracle_lanes(top, m, specs) == [to_lex(ref, d) for d in range(1, top + 1)]
 
     @pytest.mark.parametrize("alphabet", [A2, A3])
     def test_size_guard_refuses_before_allocating(self, alphabet):
         # m**40 words is far past the limit: the error comes before any list
         letter = NCSeries(alphabet, 40, {(0,): 1})
-        for call in (lambda: nc_exp(letter), lambda: nc_log(letter + NCSeries(alphabet, 40, {(): 1})),
+        m = alphabet.size
+        for call in (lambda: oracle_lanes(40, m, [SeriesSpec.exponential(40)] * m),
                      lambda: nc_mul(letter, letter)):
             with pytest.raises(ValueError, match=f"over the limit of {MAX_WORDS}"):
                 call()
@@ -370,6 +343,6 @@ class TestToLex:
         assert NCSeries.from_lex(A2, 2, *to_lex(s, 2)) == degree_slice(s, 2)
 
     def test_oracle_log_reads_back_through_it(self):
-        log = oracle_log(6, 3, [SeriesSpec.exponential(6)] * 3)
+        log = oracle_log_reference(6, 3, [SeriesSpec.exponential(6)] * 3)
         for n in range(1, 7):
             assert NCSeries.from_lex(A3, n, *to_lex(log, n)) == bch_term_multi(n, 3)

@@ -310,10 +310,11 @@ LANE_CASES = [
 
 
 def term_at_width(monkeypatch, n, specs, width):
-    """The term computed with ``width`` bits per lane; None if unpacking overflowed."""
+    """The term's ``lex_lanes`` computed with ``width`` bits per lane; None if
+    unpacking overflowed."""
     monkeypatch.setattr(series_module, "lane_width", lambda n, steps: width)
     try:
-        return series_module.term_uncached(n, specs)
+        return series_module.lex_lanes(n, specs)
     except OverflowError:
         return None
 
@@ -328,7 +329,7 @@ class TestLaneWidth:
     def test_lanes_one_byte_short_corrupt_the_term(self, monkeypatch, n, specs):
         # the narrowest whole-byte width holding the largest lane and a sign
         # bit reproduces the term; eight bits less must not pass unnoticed
-        reference = logf_term(n, specs)
+        reference = series_module.lex_lanes(n, specs)
         tight = (largest_lane_bits(n, specs) + 8) // 8 * 8
         assert term_at_width(monkeypatch, n, specs, tight) == reference
         assert term_at_width(monkeypatch, n, specs, tight - 8) != reference
@@ -338,7 +339,7 @@ class TestLaneWidth:
         # on dense random series the bound lies within a byte of the largest
         # lane (on exp it is 20 and more bits above), so the kernel's own
         # width less 8 bits must change the term or raise
-        reference = logf_term(n, specs)
+        reference = series_module.lex_lanes(n, specs)
         _, steps = series_module._scaled_steps(n, specs)
         width = series_module.lane_width(n, steps)
         assert term_at_width(monkeypatch, n, specs, width - 8) != reference
