@@ -125,5 +125,7 @@ def oracle_lanes(n: int, m: int, f_list: list[SeriesSpec]) -> list[tuple[int, li
 
 def oracle_bch(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:
     """Degree-n slice of log(f_0(a_0) f_1(a_1) ...) by direct expansion."""
+    if alphabet is not None and alphabet.size != m:  # before the oracle runs, not after
+        raise ValueError(f"alphabet has {alphabet.size} letters, need {m}")
     top = oracle_lanes(n, m, f_list)[-1]
     return NCSeries.from_lex(alphabet or Alphabet.default(m), n, *top)

@@ -9,7 +9,7 @@ applied to S collapses to a polynomial and both the series evaluation and
 the matrix logarithm below terminate exactly.
 
 These matrices are the reference route.  The kernel in ``series`` applies
-the same factor matrices, as integer step coefficients, down a packed last
+the same factor matrices, as integer step coefficients, to a packed last
 column and never forms a matrix; ``mat_mul`` and the plain Fraction
 ``log_upper_right`` here are what the tests compare it against, and
 ``word_matrix_product`` checks the word-to-matrix identity directly.

@@ -89,7 +89,7 @@ class TestIntegerArithmetic:
 
     @staticmethod
     @st.composite
-    def series(draw, cap=3, constant=None):
+    def series(draw, cap=3):
         """(a, b): two random rational series over one alphabet of 2 or 3 letters."""
         alphabet = draw(st.sampled_from([A2, A3]))
         words = [w for k in range(cap + 1) for w in itertools.product(range(alphabet.size), repeat=k)]
@@ -99,8 +99,6 @@ class TestIntegerArithmetic:
 
         def one():
             terms = draw(st.dictionaries(st.sampled_from(words), coeff, max_size=8))
-            if constant is not None:
-                terms[()] = constant
             return NCSeries(alphabet, cap, terms)
 
         return one(), one()
@@ -217,7 +215,9 @@ class TestOracleBch:
         # e^x and e^y from factorials alone guards the shared coefficient table
         exp = SeriesSpec.exponential(n)
         via_coeffs = oracle_bch(n, 2, [exp, exp])
-        ex, ey = (NCSeries(A2, n, {(k,) * j: Fraction(1, factorial(j)) for j in range(n + 1)}) for k in (0, 1))
+        ex, ey = (
+            NCSeries(A2, n, {(k,) * j: Fraction(1, factorial(j)) for j in range(n + 1)}) for k in (0, 1)
+        )
         via_exp = degree_slice(nc_log_reference(nc_mul(ex, ey)), n)
         assert via_coeffs == via_exp
 
@@ -280,7 +280,7 @@ class TestOracleLog:
             oracle_lanes(2, 1, [exp])
         with pytest.raises(ValueError, match="expected 3 series"):
             oracle_lanes(2, 3, [exp, exp])
-        with pytest.raises(ValueError, match="3\\^2 words"):
+        with pytest.raises(ValueError, match="alphabet has 3 letters, need 2"):
             oracle_bch(2, 2, [exp, exp], A3)
 
 
