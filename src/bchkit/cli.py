@@ -197,7 +197,7 @@ def _stats_report(stages: Stages, cache: str, words: int) -> str:
 # Per-mode order caps: the oracle's cost grows like m**n and the signed
 # route evaluates 2**n sign assignments, so each route has a practical ceiling.
 VERIFY_MODES = ("oracle", "multi", "signed", "dynkin")
-VERIFY_CAPS = {"oracle": 16, "multi": 6, "signed": 14, "dynkin": 20}
+VERIFY_CAPS = {"oracle": 18, "multi": 6, "signed": 14, "dynkin": 20}
 Lanes = tuple[int, Sequence[int]]  # one order: a denominator and graded-lex numerators over it
 
 

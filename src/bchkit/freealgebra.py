@@ -8,8 +8,12 @@ order, the length-L words from (m^L - 1)/(m - 1).  Since
 flat(uv) = m^|v| flat(u) + flat(v), carrying one word v onto every u that
 fits under the cap is one strided slice update; every fitting pair of words
 is still multiplied.  The oracle writes each factor f_k(a_k) straight into a
-flat list, multiplies them and takes the log power sum, all on integers; one
-run at the top order answers a ``verify`` route, as lanes per order.
+flat list, multiplies them and takes the log series, all on integers; one
+run at the top order answers a ``verify`` route, as lanes per order.  The
+log series runs by Horner's rule, one product by y = (product - 1) per
+term: the bracket that y multiplies j more times is kept to degree cap - j,
+a prefix of the flat list, and scaled by lcm(1..cap) dx^(cap-j), which
+makes it integral (``_power_sum``).
 ``nc_mul`` is the one entry on word series, for the tests and the tracer.
 """
 
@@ -36,7 +40,8 @@ def _starts(m: int, cap: int) -> list[int]:
 def _flat(a: NCSeries) -> tuple[list[int], int]:
     """a as flat integer numerators over the lcm of its denominators."""
     m, cap = a.alphabet.size, a.max_degree
-    if m**cap > MAX_WORDS:
+    # the bit length first, as in check_order, so a huge cap builds no power
+    if cap >= MAX_WORDS.bit_length() or m**cap > MAX_WORDS:
         raise ValueError(f"max degree {cap} needs {m}^{cap} words, over the limit of {MAX_WORDS}")
     den = lcm(*(c.denominator for c in a.terms.values()))
     flat = [0] * _starts(m, cap)[-1]
@@ -69,19 +74,30 @@ def _concat(a: list[int], b: list[int], m: int, cap: int, low: int = 0) -> list[
 
 
 def _power_sum(x: list[int], dx: int, m: int, cap: int) -> tuple[list[int], int]:
-    """log(x/dx) = sum_k (-1)^(k+1)/k (x/dx - 1)^k, k = 1..cap, for x/dx with
-    constant term 1; it stops once (x/dx - 1)^k vanishes.  That power is
-    integers over dx**k, so every term is an integer over lcm(1..cap) * dx**cap."""
+    """log(x/dx) = sum_k (-1)^(k+1)/k y^k, k = 1..cap, for x/dx with constant
+    term 1, by Horner's rule: (((s_top y + ...) + s_2) y + s_1) y.  With
+    y = x/dx - 1 = Y/dx, B = lcm(1..cap) and s_j = (-1)^(j+1) B/j, each bracket
+    scaled by dx^(cap-j) is integral: G_top = s_top dx^(cap-top) and
+    G_j = s_j dx^(cap-j) + G_(j+1) Y, since B/j and dx^(cap-j) are integers for
+    j <= cap.  Unrolled, G_1 Y = sum_k s_k dx^(cap-k) Y^k, the log times
+    B dx^cap.  G_j meets j more factors Y, none shorter than one letter, so
+    only its words of length <= cap - j count: the flat list's prefix of
+    starts[cap - j + 1] entries.  Y^k vanishes past top = cap // (the length
+    of Y's shortest word), so Horner starts there."""
     big = lcm(*range(1, cap + 1))
-    x, power = [0, *x[1:]], [1] + [0] * (len(x) - 1)
-    acc = [0] * len(x)
-    for k in range(1, cap + 1):
-        power = _concat(power, x, m, cap, k - 1)
-        if not any(power):
-            break
-        scale = (-1) ** (k + 1) * (big // k) * dx ** (cap - k)
-        acc = list(map(add, acc, map(mul, power, repeat(scale))))
-    return acc, big * dx**cap
+    starts = _starts(m, cap)
+    y = [0, *x[1:]]
+    low = next((d for d in range(1, cap + 1) if any(y[starts[d]:starts[d + 1]])), 0)
+    if not low:
+        return y, 1  # x/dx = 1, log 0
+    top = cap // low
+    g = [(-1) ** (top + 1) * (big // top) * dx ** (cap - top)]
+    for j in range(top - 1, -1, -1):
+        d = cap - j
+        g = _concat(g + [0] * (starts[d + 1] - len(g)), y, m, d)
+        if j:
+            g[0] = (-1) ** (j + 1) * (big // j) * dx**d
+    return g, big * dx**cap
 
 
 def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:

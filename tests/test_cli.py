@@ -386,14 +386,14 @@ class TestVerify:
         assert "ok signed n=4" in out
 
     def test_explicit_mode_over_cap_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "17", "--modes", "oracle")
+        code, _, err = run(capsys, "verify", "19", "--modes", "oracle")
         assert code == 1
-        assert "n <= 16" in err
+        assert "n <= 18" in err
 
-    def test_oracle_cap_is_sixteen(self, capsys):
-        code, out, _ = run(capsys, "verify", "16", "--modes", "oracle")
+    def test_oracle_cap_is_eighteen(self, capsys):
+        code, out, _ = run(capsys, "verify", "18", "--modes", "oracle")
         assert code == 0
-        assert "ok oracle n=16 (30124 words)" in out
+        assert "ok oracle n=18 (131068 words)" in out
         assert "all checks passed" in out
 
     def test_signed_cap_is_fourteen(self, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -284,6 +285,39 @@ class TestOracleLog:
             oracle_bch(2, 2, [exp, exp], A3)
 
 
+NO_C1 = SeriesSpec.from_coeffs([1, 0, Fraction(1, 2), Fraction(1, 6)])  # lowest word a_k^2
+NO_C12 = SeriesSpec.from_coeffs([1, 0, 0, Fraction(-2, 7), 3])  # lowest word a_k^3
+
+
+class TestHorner:
+    """The log series by Horner's rule starts at cap // (the length of the
+    shortest word of the product minus 1) and keeps each bracket to the
+    degrees still reachable; series whose shortest word is longer than one
+    letter, and products equal to 1, take the paths exp does not.  Every run
+    at every order n <= top is checked, as top and the truncations move with n."""
+
+    @pytest.mark.parametrize(
+        "m,top,specs",
+        [
+            (2, 8, [NO_C1] * 2),
+            (3, 5, [NO_C1] * 3),
+            (2, 8, [NO_C12] * 2),
+            (2, 7, [NO_C1, SeriesSpec.exponential(7)]),
+            (3, 5, [SeriesSpec.exponential(5), NO_C12, SeriesSpec.exponential(5)]),
+            (2, 6, [ONE] * 2),
+            (3, 4, [ONE] * 3),
+            (4, 5, [SeriesSpec.exponential(5)] * 4),
+        ],
+        ids=["no-c1-m2", "no-c1-m3", "no-c1-c2-m2", "one-no-c1-m2", "one-no-c1-c2-m3",
+             "unit-m2", "unit-m3", "exp-m4"],
+    )
+    def test_every_run_matches_the_reference(self, m, top, specs):
+        ref = oracle_log_reference(top, m, specs)
+        expected = [to_lex(ref, d) for d in range(1, top + 1)]
+        for n in range(1, top + 1):
+            assert oracle_lanes(n, m, specs) == expected[:n], f"n={n}"
+
+
 class TestFlatEngine:
     """The flat graded-lex engine against the dict and Fraction references."""
 
@@ -312,6 +346,15 @@ class TestFlatEngine:
             with pytest.raises(ValueError, match=f"over the limit of {MAX_WORDS}"):
                 call()
 
+
+    @pytest.mark.parametrize("alphabet", [A2, A3])
+    def test_size_guard_builds_no_huge_power(self, alphabet):
+        # a max degree of 10^8 is refused on its bit length, not after m**10^8
+        letter = NCSeries(alphabet, 10**8, {(0,): 1})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_WORDS}"):
+            nc_mul(letter, letter)
+        assert time.perf_counter() - start < 0.1
 
 class TestToLex:
     """The test helper to_lex reads one degree of a series as from_lex's (den, numerators)."""
