@@ -10,10 +10,8 @@ fits under the cap is one strided slice update; every fitting pair of words
 is still multiplied.  The oracle writes each factor f_k(a_k) straight into a
 flat list, multiplies them and takes the log series, all on integers; one
 run at the top order answers a ``verify`` route, as lanes per order.  The
-log series runs by Horner's rule, one product by y = (product - 1) per
-term: the bracket that y multiplies j more times is kept to degree cap - j,
-a prefix of the flat list, and scaled by lcm(1..cap) dx^(cap-j), which
-makes it integral (``_power_sum``).
+log series runs by Horner's rule, each bracket kept to the degrees still
+reachable, a prefix of the flat list, and scaled to integers (``_power_sum``).
 ``nc_mul`` is the one entry on word series, for the tests and the tracer.
 """
 
