@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, islice, repeat
 from math import comb, factorial, lcm
-from operator import add, countOf, lshift, sub
+from operator import add, countOf, lshift, mul, sub
 from typing import Iterable, Sequence
 
 from .words import Alphabet, NCSeries
@@ -80,22 +80,40 @@ def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
 
 @cache
 def _lane_width(n: int) -> int:
-    """Lane bits that provably hold every lane ``_walk`` splits or reads.
+    """Lane bits that provably hold every leaf ``_walk`` unpacks, orders 1..n.
 
-    Entry by entry |F D F D - I| <= F F - I and |F D| <= F, so by induction
-    on q every assignment has |u_q| <= u+_q and |a_q| <= a+_q, the rows of
-    the all-plus run.  ``_walk`` splits (C u_{q-1})[d], at most a+_q[d], and
-    (C a_q)[d], at most u+_q[d] + u+_{q-1}[d] <= sum_q (L/q) u+_q[d], which
-    also bounds a lane's numerator.  The largest bound plus a sign bit,
-    rounded up to whole bytes, keeps every lane within +-2**(W-1).
+    The order-d leaf at assignment s is L d! z_d(s), where z_d(s) = sum_w
+    c_w prod_{i: w_i = y} s_i is the term with each y read as s_i, so
+    |leaf| <= L d! ||z_d||_1, the sum of the |c_w|.  Varadarajan's recursion
+    (Casas and Murua, J. Math. Phys. 50, 033513, 2009), with z_1 = x + y and
+    K_2p = B_2p / (2p)!, is (m+1) z_(m+1) = 1/2 [x - y, z_m]
+    + sum_(p >= 1) K_2p sum_(k_1 + ... + k_2p = m) [z_k1, [..., [z_k2p, x + y]..]],
+    and ||[a, b]||_1 <= 2 ||a||_1 ||b||_1, so ||z_d||_1 <= Z_d with Z_1 = 2 and
+    (m+1) Z_(m+1) = 2 Z_m + 2 sum_p |K_2p| 4**p [t**m] Z(t)**(2p).  Here
+    |K_2p| 4**p = T_(2p-1) / ((4**p - 1) (2p-1)!), T the tangent numbers, and
+    every value is an int in units of 2**-64 rounded up, so each stays an
+    upper bound.  The largest L d! Z_d plus a sign bit, rounded up to whole
+    bytes, keeps every leaf within +-2**(W-1).
     """
-    u, bound = [[1] + [0] * n], 0
-    for q in range(1, n + 2):
-        a = [sum(comb(d, j) * x for j, x in enumerate(u[-1][: d + 1])) for d in range(n + 1)]
-        u.append([sum(comb(d, j) * x for j, x in enumerate(a[: d + 1])) - u[-1][d] for d in range(n + 1)])
-        bound = max(bound, *a)
-    leaves = (sum(lcm(*range(1, d + 1)) // q * u[q][d] for q in range(1, d + 1)) for d in range(n + 1))
-    return (max(bound, *leaves).bit_length() + 8) // 8 * 8
+    one, top = 1 << 64, n // 2
+    t = [0] + [factorial(k - 1) for k in range(1, top + 1)]  # t[p] = T_(2p-1), Knuth and Buckholtz
+    for k in range(2, top + 1):
+        for j in range(k, top + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    c = [0] + [-(-t[p] * one // ((4**p - 1) * factorial(2 * p - 1))) for p in range(1, top + 1)]  # >= |K_2p| 4**p
+    z = [0, 2 * one]  # z[m] >= Z_m
+    powers = [[0] * n for _ in range(top + 1)]  # powers[p][m] >= [t**m] Z(t)**(2p)
+    for m in range(1, n):
+        square = powers[1]
+        square[m] = -(-sum(map(mul, z[1:m], z[m - 1 : 0 : -1])) // one)
+        acc = c[1] * square[m]
+        for p in range(2, m // 2 + 1):
+            below = powers[p - 1]
+            powers[p][m] = -(-sum(map(mul, square[2 : m - 2 * p + 3], below[m - 2 : 2 * p - 3 : -1])) // one)
+            acc += c[p] * powers[p][m]
+        z.append(-(-(2 * one * z[m] + 2 * acc) // (one * (m + 1))))
+    bound = max(lcm(*range(1, d + 1)) * factorial(d) * z[d] for d in range(1, n + 1))
+    return (-(-bound // one)).bit_length() + 8 >> 3 << 3
 
 
 def _unpack(data: bytes, size: int, half: int) -> list[int]:
@@ -133,49 +151,56 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[OrderLa
     u_q = P (C a_q) - u_{q-1} (P entrywise).  Entry d
     of both depends on s_1..s_d alone, so level d fills it for every prefix
     of d signs at once, one W-bit lane each (W from ``_lane_width``).  Lane
-    bit t - depth - 1 is [P_t = -1], so P_d = -1 on the upper half of level
-    d's lanes and P_d S = 2 low_half(S) - S, one offset and mask.  Entry j
-    keeps its 2**(j - depth) lanes; a dot product with row d of C
-    broadcasts them Horner-style (acc += acc << W lanes).  The order-d
-    product is the leading block of the order-n one, so level d yields the
-    order-d values sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!), L = lcm(1..d),
-    unpacked to ints by ``_unpack``.  A prefix shorter than ``depth`` lies
-    in several subtrees; only the one rooted at it (root >> d == 0) emits it.
+    bit t - depth - 1 is [P_t = -1], so level d keeps each entry as two
+    packed halves, the lanes with P_d = +1 and those with P_d = -1.  Row d
+    of C takes entry j < d from its full form lo + (hi << W h), h lanes a
+    half, broadcast Horner-style (acc += acc << W lanes) to a half of level
+    d's lanes, plus the matching half of entry d; P_d is then a sign on the
+    upper half.  Levels up to ``depth`` hold one lane and take P_d from
+    ``root``.  Every step is linear (shifts, sums, small multiples), so a
+    lane may run over its W bits on the way: only the leaves must fit.  The
+    order-d product is the leading block of the order-n one, so level d
+    yields the order-d values sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!),
+    L = lcm(1..d), unpacked to ints by ``_unpack``.  A prefix shorter than
+    ``depth`` lies in several subtrees; only the one rooted at it
+    (root >> d == 0) emits it.
     """
     # its own first-row log and unpack, apart from the symbolic kernel: a shared bug would pass verify
     low = n if low is None else low
     width = _lane_width(n)
     size, half = width // 8, 1 << width - 1
-
-    def offset(lanes: int) -> int:  # half in each lane: every lane a nonnegative digit
-        return int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
-
-    def times_p(s: int) -> int:  # P_d s: P_d = +1 on the lanes of low_half
-        return 2 * ((s + bias & low_half) - bias) - s
-
-    def dot(x: list[int], lo: int) -> int:  # (C x)[d] on level d's lanes; x[j] = 0 below lo
-        acc = sum(comb(d, j) * x[j] for j in range(lo, min(d, depth) + 1))  # one-lane entries
-        for j in range(max(lo, depth + 1), d + 1):
-            acc += (acc << (width << j - 1 - depth)) + comb(d, j) * x[j]
-        return acc
-
     froot = sum(((root & (2 << t) - 1).bit_count() & 1) << t for t in range(depth))  # P bits
-    # u[q][j] and a[q][j]: entry j of u_q and a_q, on level j's lanes
+    # u[q][j] and a[q][j]: entry j of u_q and a_q, in full on level j's lanes
     u = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
     a = [[0] * (n + 1) for _ in range(n + 2)]
+    a[1][0] = 1
     out = []
-    for d in range(n + 1):
-        plus = 1 << d - 1 - depth if d > depth else 0  # lanes of P_d = +1; none: one lane
-        bias, low_half = offset(plus), (1 << width * plus) - 1 if plus else (froot << 1 >> d & 1) - 1
+    for d in range(1, n + 1):
+        row = [comb(d, j) for j in range(d)]
+
+        def dot(x: list[int], lo: int) -> int:  # (C x)[d] less x[d], on a half; x[j] = 0 below lo
+            acc = sum(map(mul, row[lo : depth + 1], x[lo : depth + 1]))  # one-lane entries
+            for j in range(max(lo, depth + 1), d):
+                acc += (acc << (width << j - 1 - depth)) + row[j] * x[j]
+            return acc
+
+        def full(lo: int, hi: int) -> int:  # one lane: the half of root's P_d
+            return lo + (hi << (width << d - 1 - depth)) if d > depth else hi if froot >> d - 1 & 1 else lo
+
+        ulo = uhi = 0  # the halves of u_(q-1)[d]: its lanes of P_d = +1, then of P_d = -1
         for q in range(1, d + 1):
-            a[q][d] = times_p(dot(u[q - 1], q - 1))
-            u[q][d] = times_p(dot(a[q], q - 1)) - u[q - 1][d]
-        a[d + 1][d] = times_p(u[d][d])
+            s = dot(u[q - 1], q - 1)
+            alo, ahi = s + ulo, -s - uhi
+            s = dot(a[q], q - 1)
+            ulo, uhi = s + alo - ulo, -s - ahi - uhi
+            a[q][d], u[q][d] = full(alo, ahi), full(ulo, uhi)
+        a[d + 1][d] = full(ulo, -uhi)
         if d < low or root >> d:
             continue
         big, lanes = lcm(*range(1, d + 1)), 1 << max(d - depth, 0)
         value = sum((-1) ** (q + 1) * (big // q) * u[q][d] for q in range(1, d + 1))
-        data = (value + offset(lanes)).to_bytes(size * lanes, "little")
+        offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")  # half in each lane
+        data = (value + offset).to_bytes(size * lanes, "little")
         out.append((d, big * factorial(d), froot & ((1 << d) - 1), _unpack(data, size, half)))
     return out
 
@@ -313,12 +338,13 @@ class ScanReport:
 
 
 def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport]:
-    """Evaluate every parity-surviving assignment for n = 1..n_max.
+    """Census of the assignments of orders n = 1..n_max, from one walk.
 
-    Assignments with an even +1 count are counted as pruned without
-    evaluation.  Among the rest, the all-plus assignment at odd n > 1 is
-    the only zero the symmetries predict; anything else that evaluates to
-    zero is reported as unexpected.
+    The walk evaluates every assignment; those with an even +1 count, zero
+    by the parity rule, are counted as pruned without being read.  Among
+    the rest, the all-plus assignment at odd n > 1 is the only zero the
+    symmetries predict; anything else that reads zero is reported as
+    unexpected.
     """
     if n_max < 1:
         raise ValueError(f"order must be >= 1, got {n_max}")

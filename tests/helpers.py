@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from bchkit.multilinear import MultilinearPoly
 from bchkit.trimatrix import TriMatrix, mat_mul
@@ -228,3 +228,49 @@ def oracle_log_reference(n: int, m: int, f_list) -> NCSeries:
     for k, f in enumerate(f_list):
         product = nc_mul_reference(product, series_at_letter(f, alphabet, n, k))
     return nc_log_reference(product)
+
+
+def bernoulli(n: int) -> list[Fraction]:
+    """B_0 .. B_n (B_1 = -1/2) from sum_(k <= j) C(j + 1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for j in range(1, n + 1):
+        b.append(-sum(comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b
+
+
+def lie_bracket(a: dict, b: dict) -> dict:
+    """ab - ba on word dicts, zero coefficients dropped."""
+    out: dict = {}
+    for u, c in a.items():
+        for v, e in b.items():
+            out[u + v] = out.get(u + v, 0) + c * e
+            out[v + u] = out.get(v + u, 0) - c * e
+    return {w: c for w, c in out.items() if c}
+
+
+def compositions(total: int, parts: int):
+    """The tuples of ``parts`` positive ints that sum to ``total``."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(hi - lo for lo, hi in zip((0, *cuts), (*cuts, total)))
+
+
+def varadarajan_terms(n: int) -> list[dict]:
+    """[z_1, ..., z_n] of log(e^x e^y) as word dicts, by Varadarajan's
+    recursion (Casas and Murua, J. Math. Phys. 50, 033513, 2009): z_1 = x + y,
+    (m+1) z_(m+1) = 1/2 [x - y, z_m]
+    + sum_(p >= 1) K_2p sum_(k_1 + ... + k_2p = m) [z_k1, [..., [z_k2p, x + y]..]],
+    K_2p = B_2p / (2p)!.  Test-only: it shares nothing with the matrix routes."""
+    plus, minus = {(0,): 1, (1,): 1}, {(0,): 1, (1,): -1}
+    b, z = bernoulli(n), [plus]
+    for m in range(1, n):
+        acc = {w: Fraction(c, 2) for w, c in lie_bracket(minus, z[m - 1]).items()}
+        for p in range(1, m // 2 + 1):
+            weight = b[2 * p] / factorial(2 * p)
+            for ks in compositions(m, 2 * p):
+                nested = plus
+                for k in reversed(ks):
+                    nested = lie_bracket(z[k - 1], nested)
+                for w, c in nested.items():
+                    acc[w] = acc.get(w, 0) + weight * c
+        z.append({w: c / (m + 1) for w, c in acc.items() if c})
+    return z

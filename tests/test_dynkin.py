@@ -1,5 +1,6 @@
 """Commutator substitution and re-expansion."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -96,6 +97,16 @@ class TestExpand:
         got = expand_commutators(terms, alphabet)
         assert got == expand_commutators_reference(terms, alphabet)
         assert got.max_degree == max((len(t.word) for t in terms), default=0)
+
+    @pytest.mark.parametrize("m,k", [(m, k) for m, top in ((2, 9), (3, 6), (4, 5)) for k in range(1, top + 1)])
+    def test_every_word_of_a_length_matches_the_reference(self, m, k):
+        # every word at once, each with its own coefficient, so a block of
+        # any pass of _expand_lex moved to the wrong place changes the sum
+        rng = random.Random(100 * m + k)
+        alphabet = Alphabet.default(m)
+        terms = [LieTerm(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), word)
+                 for word in itertools.product(range(m), repeat=k)]
+        assert expand_commutators(terms, alphabet) == expand_commutators_reference(terms, alphabet)
 
     def test_triple_bracket_hand_expansion(self):
         # [[[x,y],x],y] = By - yB for B = 2xyx - yxx - xxy; the yxxy pieces cancel

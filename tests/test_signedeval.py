@@ -8,12 +8,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
 from bchkit import signedeval
 from bchkit.cli import main
-from bchkit.series import bch_term
+from bchkit.series import bch_term, term_lanes
 from bchkit.signedeval import (
     POOL_MIN_MASKS,
     PRUNING_MODES,
@@ -31,7 +32,7 @@ from bchkit.signedeval import (
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet, NCSeries
-from helpers import eval_assignment_reference, lane_leaves, lane_masks
+from helpers import bernoulli, eval_assignment_reference, lane_leaves, lane_masks, varadarajan_terms
 
 A2 = Alphabet.default(2)
 
@@ -134,12 +135,17 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", range(8, 13))
     def test_width_is_needed(self, monkeypatch, n):
-        # three bytes fewer per lane corrupts some leaf; the leaf-value term of
-        # the proof leaves the width 16 to 23 bits above the narrowest that works
+        # three bytes fewer per lane corrupts some leaf or overflows the unpack
+        # (n = 8 and 10); the proof leaves the width 11 to 19 bits above the
+        # largest leaf and its sign bit, 8 to 16 above the narrowest that works
         exact = sorted(lane_leaves(_walk(n, 0, 0)))
         width = signedeval._lane_width(n)
         monkeypatch.setattr(signedeval, "_lane_width", lambda order: width - 24)
-        wrong = [leaf for leaf, good in zip(sorted(lane_leaves(_walk(n, 0, 0))), exact) if leaf != good]
+        try:
+            cut = sorted(lane_leaves(_walk(n, 0, 0)))
+        except OverflowError:
+            return  # a leaf past its lane: the unpack must change the term or raise
+        wrong = [leaf for leaf, good in zip(cut, exact) if leaf != good]
         assert wrong
         _, mask, value = wrong[0]
         assert value != eval_assignment_reference(n, _mask_signs(n, mask))
@@ -178,6 +184,54 @@ class TestKernel:
         code, peak_kb = map(int, out.stdout.split())
         assert code == 0
         assert peak_kb < 120 * 1024
+
+
+def norm_bounds(n):
+    """[Z_0, ..., Z_n] of ``_lane_width``'s proof in exact Fractions: Z_1 = 2,
+    (m+1) Z_(m+1) = 2 Z_m + 2 sum_p |B_2p| / (2p)! 4**p [t**m] Z(t)**(2p)."""
+    b, z = bernoulli(n), [Fraction(0), Fraction(2)]
+    for m in range(1, n):
+        power, acc = [Fraction(1)] + [Fraction(0)] * m, Fraction(0)  # Z(t)**(2p) up to t**m
+        for p in range(1, m // 2 + 1):
+            for _ in range(2):
+                power = [sum(power[i] * z[k - i] for i in range(k)) for k in range(m + 1)]
+            acc += abs(b[2 * p]) / factorial(2 * p) * 4**p * power[m]
+        z.append((2 * z[m] + 2 * acc) / (m + 1))
+    return z
+
+
+class TestWidthProof:
+    """The premises of ``_lane_width``'s bound, checked on the terms themselves."""
+
+    def test_varadarajan_recursion_gives_the_terms(self):
+        for d, z in enumerate(varadarajan_terms(9), 1):
+            assert NCSeries(A2, d, z) == NCSeries.from_lex(A2, d, *term_lanes(d, 2))
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_leaves_of_every_order_fit_the_width(self, d):
+        # |leaf| <= L d! ||z_d||_1 <= L d! Z_d < 2**(W - 1)
+        den, nums = term_lanes(d, 2)
+        norm = Fraction(sum(map(abs, nums)), den)
+        assert norm <= norm_bounds(d)[d]
+        assert lcm(*range(1, d + 1)) * factorial(d) * norm < 1 << signedeval._lane_width(d) - 1
+
+    def test_width_is_the_exact_bound_in_whole_bytes(self):
+        # the kernel's 2**-64 units, rounded up, land on the exact bound's bytes
+        z = norm_bounds(30)
+        for n in range(1, 31):
+            bound = max(lcm(*range(1, d + 1)) * factorial(d) * z[d] for d in range(1, n + 1))
+            assert signedeval._lane_width(n) == (-(-bound.numerator // bound.denominator)).bit_length() + 8 >> 3 << 3
+        assert [signedeval._lane_width(n) for n in (9, 11, 12, 14, 18, 22)] == [40, 48, 56, 64, 88, 112]
+
+
+class TestAboveTheCap:
+    def test_lattice_terms_of_order_sixteen(self):
+        # two orders past verify's signed cap, where W = 80: every order equals
+        # the symbolic kernel's, cross-multiplied over the two denominators
+        for d, (den, nums) in enumerate(lattice_terms(16), 1):
+            ref_den, ref = term_lanes(d, 2)
+            assert len(nums) == len(ref) == 1 << d
+            assert [x * ref_den for x in nums] == [y * den for y in ref]
 
 
 class TestLowerOrders:
