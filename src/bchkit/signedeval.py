@@ -19,7 +19,7 @@ on integers over the table's common denominator.
 Entry d of every row of the log recurrence depends on s_1..s_d alone, and
 the leading (d+1) x (d+1) block of the order-n product is the order-d one.
 So one kernel fills entry d for every prefix of d signs at once, each a
-lane of one packed int, and these are the order-d assignments: a scan of
+lane of packed ints, and these are the order-d assignments: a scan of
 orders 1..n is one run, as are the terms verify reconstructs.  Lanes stay
 in P-order, the order the kernel computes them in: lane f has bit t-1 set
 when the prefix product P_t = s_1 ... s_t is -1, and holds the value at
@@ -156,8 +156,8 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[OrderLa
     of C takes entry j < d from its full form lo + (hi << W h), h lanes a
     half, broadcast Horner-style (acc += acc << W lanes) to a half of level
     d's lanes, plus the matching half of entry d; P_d is then a sign on the
-    upper half.  Levels up to ``depth`` hold one lane and take P_d from
-    ``root``.  Every step is linear (shifts, sums, small multiples), so a
+    upper half.  Levels up to ``depth`` hold one lane and keep the half
+    that ``root``'s P_d picks.  Every step is linear (shifts, sums, small multiples), so a
     lane may run over its W bits on the way: only the leaves must fit.  The
     order-d product is the leading block of the order-n one, so level d
     yields the order-d values sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!),
@@ -173,7 +173,7 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[OrderLa
     # u[q][j] and a[q][j]: entry j of u_q and a_q, in full on level j's lanes
     u = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
     a = [[0] * (n + 1) for _ in range(n + 2)]
-    a[1][0] = 1
+    a[1][0] = 1  # a_1[0] = P_0 u_0[0]: level 0 is the root's one lane
     out = []
     for d in range(1, n + 1):
         row = [comb(d, j) for j in range(d)]
