@@ -22,7 +22,7 @@ from itertools import chain, compress, product, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .series import MAX_WORDS, check_order
+from .series import check_order
 from .trimatrix import SeriesSpec
 from .words import Alphabet, NCSeries
 
@@ -38,9 +38,8 @@ def _starts(m: int, cap: int) -> list[int]:
 def _flat(a: NCSeries) -> tuple[list[int], int]:
     """a as flat integer numerators over the lcm of its denominators."""
     m, cap = a.alphabet.size, a.max_degree
-    # the bit length first, as in check_order, so a huge cap builds no power
-    if cap >= MAX_WORDS.bit_length() or m**cap > MAX_WORDS:
-        raise ValueError(f"max degree {cap} needs {m}^{cap} words, over the limit of {MAX_WORDS}")
+    if cap:
+        check_order(cap, m)
     den = lcm(*(c.denominator for c in a.terms.values()))
     flat = [0] * _starts(m, cap)[-1]
     for word, c in a.terms.items():
@@ -109,11 +108,9 @@ def _oracle(n: int, m: int, f_list: list[SeriesSpec]) -> tuple[list[int], int]:
     """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, as flat integers over
     one denominator.  Its length-d words are z_d for every d <= n: concatenation
     never shortens a word, so truncating at n drops nothing of degree <= n."""
-    if m < 2:
-        raise ValueError(f"factor count must be >= 2, got {m}")
+    check_order(n, m)
     if len(f_list) != m:
         raise ValueError(f"expected {m} series, got {len(f_list)}")
-    check_order(n, m)
     starts = _starts(m, n)
     flat, den = [1] + [0] * (starts[-1] - 1), 1
     for k, f in enumerate(f_list):

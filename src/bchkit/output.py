@@ -26,6 +26,7 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import __version__
 from .dynkin import left_normed
 from .words import Alphabet
 
@@ -64,8 +65,6 @@ class OutputDocument:
     @classmethod
     def from_lex(
         cls,
-        version: str,
-        mode: str,
         order: int,
         series_names: Sequence[str],
         alphabet: Alphabet,
@@ -73,7 +72,7 @@ class OutputDocument:
         nums: Sequence[int],
         dynkin: bool = False,
     ) -> "OutputDocument":
-        """The document of the term with coefficient nums[k]/den on the k-th
+        """The ``term`` document with coefficient nums[k]/den on the k-th
         length-``order`` word in graded-lex order, as ``series.lex_lanes``
         gives it: the rows need no word tuples, no Fractions and no sort.
         With ``dynkin``, each of those words w also gives the bracket row
@@ -89,8 +88,8 @@ class OutputDocument:
             cells = _cells(nums, order, den * order)
             bracket_rows = [(left_normed(w), *cells[c]) for (w, _, _), c in zip(rows, filter(None, nums))]
         return cls(
-            version=version,
-            mode=mode,
+            version=__version__,
+            mode="term",
             order=order,
             factors=alphabet.size,
             letters=alphabet.letters,
@@ -183,23 +182,22 @@ def cache_dir() -> Path:
     return base / TOOL_NAME
 
 
-def cache_key(version: str, mode: str, order: int, letters: Sequence[str], series_names: Sequence[str],
-              with_dynkin: bool, fmt: str) -> str:
-    """The entry name of one rendered payload: the sha256 of every input
-    the payload is a function of, the output format included."""
-    material = dict(version=version, mode=mode, order=order, factors=len(letters), letters=list(letters),
+def cache_key(order: int, letters: Sequence[str], series_names: Sequence[str], with_dynkin: bool, fmt: str) -> str:
+    """The entry name of one rendered ``term`` payload: the sha256 of every
+    input it is a function of, this version and the output format included."""
+    material = dict(version=__version__, mode="term", order=order, factors=len(letters), letters=list(letters),
                     series=list(series_names), dynkin=with_dynkin, format=fmt)
     return hashlib.sha256(json.dumps(material, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def cache_load(key: str, directory: Path | None = None) -> tuple[str, int] | None:
+def cache_load(key: str) -> tuple[str, int] | None:
     """The payload stored under ``key`` and its word count, or None on a miss.
     The entry is the line ``<key> <words> <sha256 of the payload>`` and then
     the payload's UTF-8 bytes.  An unreadable file, a header that does not
     name ``key`` or has a non-integer count, a digest that does not match,
     or bytes that are not UTF-8 are all misses, and the writer replaces them."""
     try:
-        data = ((directory or cache_dir()) / key).read_bytes()
+        data = (cache_dir() / key).read_bytes()
     except OSError:
         return None
     end = data.find(b"\n")
@@ -213,11 +211,11 @@ def cache_load(key: str, directory: Path | None = None) -> tuple[str, int] | Non
     return None
 
 
-def cache_store(key: str, payload: str, words: int, directory: Path | None = None) -> bool:
+def cache_store(key: str, payload: str, words: int) -> bool:
     """Write ``payload`` under ``key`` as ``cache_load`` reads it, atomically:
     a temp file in the cache directory is renamed onto ``<key>``, so readers
     never see a torn file.  A failed write removes the temp file and only warns."""
-    target = directory or cache_dir()
+    target = cache_dir()
     data = payload.encode()
     tmp = None
     try:

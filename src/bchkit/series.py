@@ -39,7 +39,11 @@ MAX_WORDS = 1 << 22
 
 
 def check_order(n: int, m: int = 2) -> None:
-    """Refuse, before any work, n < 1 and orders with over MAX_WORDS words."""
+    """The one input guard of every route, called once at its entry: refuse,
+    before any work, m < 2 factors, n < 1, and orders whose m**n words (or
+    2**n sign assignments) are over MAX_WORDS."""
+    if m < 2:
+        raise ValueError(f"factor count must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     # m >= 2, so m**n > MAX_WORDS once n reaches its bit length; testing
@@ -164,8 +168,6 @@ def lex_lanes(n: int, f_list: Sequence[SeriesSpec], stages: Stages | None = None
     term, in graded-lex word order, zeros included.  ``stages``, when given,
     gets the lane width and the laps scales, width, recurrence and unpack."""
     m = len(f_list)
-    if m < 2:
-        raise ValueError(f"need at least 2 factors, got {m}")
     check_order(n, m)
     stages = stages or Stages()
     den, steps = _scaled_steps(n, f_list)
@@ -198,8 +200,6 @@ def bch_term(n: int, alphabet: Alphabet | None = None) -> NCSeries:
 
 def bch_term_multi(n: int, m: int, alphabet: Alphabet | None = None) -> NCSeries:
     """Order-n term of log(e^{a_0} e^{a_1} ... e^{a_{m-1}}) over m letters."""
-    if m < 2:
-        raise ValueError(f"factor count must be >= 2, got {m}")
     check_order(n, m)
     return logf_term(n, [SeriesSpec.exponential(n)] * m, alphabet)
 

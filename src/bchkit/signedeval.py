@@ -45,6 +45,7 @@ from math import comb, factorial, lcm
 from operator import add, countOf, lshift, mul, sub
 from typing import Iterable, Sequence
 
+from .series import check_order  # the input guard alone: _walk shares no kernel code
 from .words import Alphabet, NCSeries
 
 SignAssignment = tuple[int, ...]
@@ -213,7 +214,10 @@ def _lattice(n: int, workers: int | None, low: int | None = None) -> list[OrderL
     more subtrees each, if it has max(4 * workers, POOL_MIN_MASKS) masks,
     else here.  Mask ranges would redo shared prefixes.  A subtree's lanes
     are one strided slice of its order's list, so a worker sends back
-    numerators alone, joined as they come back."""
+    numerators alone, joined as they come back.  Refuses bad n or workers first."""
+    check_order(n)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers or 1, os.cpu_count() or 1)
     pooled = workers > 1 and 1 << n >= max(4 * workers, POOL_MIN_MASKS)
     depth = max(n + 1 - SUBTREE_LANES.bit_length(), (2 * workers - 1).bit_length() if pooled else 0)
@@ -267,8 +271,6 @@ def build_table(n: int, pruning: str = "none", workers: int | None = None) -> Si
     reading them and reads one member of each reversal pair, deriving the
     partner via the (-1)**(n-1) factor.  The two modes return equal tables.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     if pruning not in PRUNING_MODES:
         raise ValueError(f"pruning must be one of {PRUNING_MODES}, got {pruning!r}")
     [(_, den, _, nums)] = _lattice(n, workers)
@@ -321,8 +323,6 @@ def lattice_terms(n: int) -> list[tuple[int, list[int]]]:
     """(denominator, graded-lex numerators) of the terms of orders 1..n,
     from one walk of the lattice.  Every lane is read, the even-plus ones
     the symmetry rules would write down as zero too."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     return [_transform(d, den, nums) for d, den, _, nums in _lattice(n, None, 1)]
 
 
@@ -346,8 +346,6 @@ def scan_nonvanishing(n_max: int, workers: int | None = None) -> list[ScanReport
     symmetries predict; anything else that reads zero is reported as
     unexpected.
     """
-    if n_max < 1:
-        raise ValueError(f"order must be >= 1, got {n_max}")
     reports = []
     for n, _, _, nums in _lattice(n_max, workers, low=1):
         # a mask's parity is its P-lane's top bit: the odd-plus lanes are the

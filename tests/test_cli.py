@@ -34,7 +34,7 @@ def run(capsys, *argv):
 
 def entry_of(cache, n, fmt="text"):
     """The cache entry of ``term n --format fmt`` with the default flags."""
-    return cache / output.cache_key(__version__, "term", n, ("x", "y"), ("exp", "exp"), False, fmt)
+    return cache / output.cache_key(n, ("x", "y"), ("exp", "exp"), False, fmt)
 
 
 def with_header(entry, key=None, words=None, digest=None, payload=None):
@@ -396,13 +396,13 @@ class TestVerify:
         assert "ok oracle n=18 (131068 words)" in out
         assert "all checks passed" in out
 
-    def test_signed_cap_is_fourteen(self, capsys):
+    def test_signed_cap_is_eighteen(self, capsys):
         code, out, _ = run(capsys, "verify", "12", "--modes", "signed")
         assert code == 0
         assert "ok signed n=12" in out
-        code, out, err = run(capsys, "verify", "15", "--modes", "signed")
+        code, out, err = run(capsys, "verify", "19", "--modes", "signed")
         assert (code, out) == (1, "")
-        assert "n <= 14" in err
+        assert "n <= 18" in err
 
     @pytest.mark.parametrize("changed", [["xyyx"], ["yxxy", "xxyy"], ["yyyy", "xyxy", "yxxx"]])
     def test_mismatch_names_the_first_differing_word(self, capsys, monkeypatch, changed):
@@ -713,6 +713,32 @@ class TestSizeLimit:
         code, _, err = run(capsys, "term", "5", "--no-cache")
         assert code == 1
         assert "limit of 16" in err
+
+
+class TestRefusals:
+    """Bad input the size limit does not cover: exit 1, nothing on stdout,
+    one error line, before any kernel runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran on refused input")
+
+        monkeypatch.setattr(series, "_scaled_steps", refuse)
+        monkeypatch.setattr(signedeval, "_walk", refuse)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("term", "3", "--factors", "1"), "factor count must be >= 2, got 1"),
+            (("verify", "0"), "order must be >= 1, got 0"),
+            (("scan", "5", "--workers", "0"), "workers must be >= 1, got 0"),
+            (("bench", "0..3"), "range must start at 1 or above, got 0"),
+            (("bench", "3", "--repeat", "0"), "--repeat must be >= 1, got 0"),
+        ],
+    )
+    def test_one_stderr_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # stdout digests of fixed commands, recorded by perfbench/record_digests.py on

@@ -294,7 +294,7 @@ class TestOracleLog:
         exp = SeriesSpec.exponential(2)
         with pytest.raises(ValueError, match="order"):
             oracle_lanes(0, 2, [exp, exp])
-        with pytest.raises(ValueError, match="factor count"):
+        with pytest.raises(ValueError, match="^factor count must be >= 2, got 1$"):
             oracle_lanes(2, 1, [exp])
         with pytest.raises(ValueError, match="expected 3 series"):
             oracle_lanes(2, 3, [exp, exp])

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from bchkit import __version__
+from bchkit import __version__, output
 from bchkit.output import (
+    CACHE_ENV_VAR,
     OutputDocument,
     cache_dir,
     cache_key,
@@ -27,14 +28,19 @@ A2 = Alphabet.default(2)
 
 def make_doc(n=3, with_dynkin=False):
     exp = SeriesSpec.exponential(n)
-    return OutputDocument.from_lex(
-        __version__, "term", n, ("exp", "exp"), A2, *lex_lanes(n, [exp, exp]), dynkin=with_dynkin
-    )
+    return OutputDocument.from_lex(n, ("exp", "exp"), A2, *lex_lanes(n, [exp, exp]), dynkin=with_dynkin)
 
 
 def key_of(doc, fmt="json"):
     """The cache key of the request that ``doc`` rendered in ``fmt`` answers."""
-    return cache_key(doc.version, doc.mode, doc.order, doc.letters, doc.series, doc.dynkin is not None, fmt)
+    return cache_key(doc.order, doc.letters, doc.series, doc.dynkin is not None, fmt)
+
+
+@pytest.fixture
+def cache(monkeypatch, tmp_path):
+    """A fresh cache directory, the one ``BCHKIT_CACHE_DIR`` names."""
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    return tmp_path
 
 
 def parse_json(text):
@@ -72,17 +78,17 @@ class TestDocument:
             f = Fraction(int(num), int(den))
             assert (str(f.numerator), str(f.denominator)) == (num, den)
 
-    def test_rejects_foreign_documents(self, tmp_path):
+    def test_rejects_foreign_documents(self, cache):
         """A JSON document is no cache entry: neither the indent=2 payload
         under the entry's name nor the compact layout that earlier versions
         wrote to ``<key>.json`` is ever served."""
         doc = make_doc(3)
         key = key_of(doc)
-        (tmp_path / key).write_text(doc.to_json_text())
-        (tmp_path / f"{key}.json").write_text(json.dumps(doc._body(), separators=(",", ":")))
-        assert cache_load(key, tmp_path) is None
+        (cache / key).write_text(doc.to_json_text())
+        (cache / f"{key}.json").write_text(json.dumps(doc._body(), separators=(",", ":")))
+        assert cache_load(key) is None
 
-    def test_arbitrary_precision_survives(self, tmp_path):
+    def test_arbitrary_precision_survives(self, cache):
         big = Fraction(1, 10**40 + 9)
         doc = OutputDocument(
             version=__version__,
@@ -96,8 +102,8 @@ class TestDocument:
         back = parse_json(doc.to_json_text())
         assert Fraction(int(back.terms[0][1]), int(back.terms[0][2])) == big
         key = key_of(doc, "text")
-        assert cache_store(key, render_text(doc), 1, tmp_path)
-        assert cache_load(key, tmp_path) == (f"1/{10**40 + 9}  x\n", 1)
+        assert cache_store(key, render_text(doc), 1)
+        assert cache_load(key) == (f"1/{10**40 + 9}  x\n", 1)
 
 
 def matrix_route(n, specs):
@@ -137,7 +143,7 @@ def test_rows_from_lanes_match_rows_from_series(specs, n, route):
     route gives: the matrix route on random series, the sign lattice on exp."""
     alphabet = Alphabet.default(len(specs))
     names = [spec.fingerprint() for spec in specs]
-    lex = OutputDocument.from_lex(__version__, "term", n, names, alphabet, *lex_lanes(n, specs))
+    lex = OutputDocument.from_lex(n, names, alphabet, *lex_lanes(n, specs))
     header = (lex.order, lex.factors, lex.letters, lex.series, lex.dynkin)
     assert header == (n, len(specs), alphabet.letters, tuple(names), None)
     for term in (logf_term(n, specs), route(n, specs)):
@@ -149,7 +155,7 @@ def escaping_doc():
     """Letters the JSON encoder escapes: a quote, a backslash, non-ASCII."""
     alphabet = Alphabet.from_names(['"', "\\", "é"])
     nums = [0, 1, -1, -1, 0, 3, 1, -3, 0]
-    return OutputDocument.from_lex(__version__, "term", 2, ("exp", "1,1/2", "exp"), alphabet, 2, nums)
+    return OutputDocument.from_lex(2, ("exp", "1,1/2", "exp"), alphabet, 2, nums)
 
 
 class TestJsonWriter:
@@ -227,57 +233,58 @@ class TestRenderings:
 
 
 class TestCache:
-    def test_key_is_stable_and_sensitive(self):
-        args = ("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "text")
+    def test_key_is_stable_and_sensitive(self, monkeypatch):
+        args = (4, ("x", "y"), ("exp", "exp"), False, "text")
         base = cache_key(*args)
         assert base == cache_key(*args)
         variants = [
-            cache_key("0.2.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "text"),
-            cache_key("0.1.0", "term", 5, ("x", "y"), ("exp", "exp"), False, "text"),
-            cache_key("0.1.0", "term", 4, ("a", "b"), ("exp", "exp"), False, "text"),
-            cache_key("0.1.0", "term", 4, ("x", "y"), ("1,1", "exp"), False, "text"),
-            cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), True, "text"),
-            cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "json"),
-            cache_key("0.1.0", "term", 4, ("x", "y"), ("exp", "exp"), False, "latex"),
+            cache_key(5, ("x", "y"), ("exp", "exp"), False, "text"),
+            cache_key(4, ("a", "b"), ("exp", "exp"), False, "text"),
+            cache_key(4, ("x", "y"), ("1,1", "exp"), False, "text"),
+            cache_key(4, ("x", "y"), ("exp", "exp"), True, "text"),
+            cache_key(4, ("x", "y"), ("exp", "exp"), False, "json"),
+            cache_key(4, ("x", "y"), ("exp", "exp"), False, "latex"),
         ]
+        monkeypatch.setattr(output, "__version__", "0.2.0")  # another version, another key
+        variants.append(cache_key(*args))
         assert base not in variants
         assert len(set(variants)) == len(variants)
 
-    def test_store_and_load(self, tmp_path):
+    def test_store_and_load(self, cache):
         doc = make_doc(3)
         payload = doc.to_json_text()
         key = key_of(doc)
-        assert cache_store(key, payload, len(doc.terms), tmp_path)
-        assert cache_load(key, tmp_path) == (payload, 6)
-        header, body = (tmp_path / key).read_bytes().split(b"\n", 1)
+        assert cache_store(key, payload, len(doc.terms))
+        assert cache_load(key) == (payload, 6)
+        header, body = (cache / key).read_bytes().split(b"\n", 1)
         assert header == f"{key} 6 {hashlib.sha256(payload.encode()).hexdigest()}".encode()
         assert body == payload.encode()
 
-    def test_store_leaves_only_the_entry(self, tmp_path):
+    def test_store_leaves_only_the_entry(self, cache):
         key = key_of(make_doc(4))
-        assert cache_store(key, make_doc(3).to_json_text(), 6, tmp_path)
-        assert cache_store(key, make_doc(4).to_json_text(), 4, tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == [key]
-        assert cache_load(key, tmp_path) == (make_doc(4).to_json_text(), 4)
+        assert cache_store(key, make_doc(3).to_json_text(), 6)
+        assert cache_store(key, make_doc(4).to_json_text(), 4)
+        assert [p.name for p in cache.iterdir()] == [key]
+        assert cache_load(key) == (make_doc(4).to_json_text(), 4)
 
-    def test_entry_under_another_key_is_a_miss(self, tmp_path):
+    def test_entry_under_another_key_is_a_miss(self, cache):
         doc = make_doc(3)
         payload = doc.to_json_text()
-        assert cache_store(key_of(doc), payload, 6, tmp_path)
-        entry = (tmp_path / key_of(doc)).read_bytes()
+        assert cache_store(key_of(doc), payload, 6)
+        entry = (cache / key_of(doc)).read_bytes()
         others = (key_of(make_doc(4)), key_of(make_doc(3, with_dynkin=True)), key_of(doc, "text"), "a" * 64)
         for key in others:
-            (tmp_path / key).write_bytes(entry)
-            assert cache_load(key, tmp_path) is None
-        assert cache_load(key_of(doc), tmp_path) == (payload, 6)
+            (cache / key).write_bytes(entry)
+            assert cache_load(key) is None
+        assert cache_load(key_of(doc)) == (payload, 6)
 
-    def test_missing_entry(self, tmp_path):
-        assert cache_load("0" * 64, tmp_path) is None
+    def test_missing_entry(self, cache):
+        assert cache_load("0" * 64) is None
 
-    def test_corrupt_entry_behaves_like_miss(self, tmp_path):
+    def test_corrupt_entry_behaves_like_miss(self, cache):
         key = "f" * 64
-        (tmp_path / key).write_text("{not json")
-        assert cache_load(key, tmp_path) is None
+        (cache / key).write_text("{not json")
+        assert cache_load(key) is None
 
     BAD_ROWS = {
         "two_field_row": ["xxy", "1"],
@@ -293,13 +300,13 @@ class TestCache:
     @pytest.mark.parametrize(
         "case", ["list", "string", "deep_nesting", "bad_dynkin_row", *BAD_ROWS]
     )
-    def test_malformed_entry_behaves_like_miss(self, tmp_path, case):
+    def test_malformed_entry_behaves_like_miss(self, cache, case):
         """A --format json entry whose payload is swapped for a malformed
         document under its own, otherwise valid header: the digest misses."""
         doc = make_doc(3, with_dynkin=True)
         key = key_of(doc)
-        assert cache_store(key, doc.to_json_text(), len(doc.terms), tmp_path)
-        header = (tmp_path / key).read_bytes().split(b"\n", 1)[0]
+        assert cache_store(key, doc.to_json_text(), len(doc.terms))
+        header = (cache / key).read_bytes().split(b"\n", 1)[0]
         body = json.loads(doc.to_json_text())
         if case in self.BAD_ROWS:
             body["terms"][0] = self.BAD_ROWS[case]
@@ -308,8 +315,8 @@ class TestCache:
         text = {"list": "[]", "string": '"xxy"', "deep_nesting": "[" * 100_000}.get(
             case, json.dumps(body, indent=2) + "\n"
         )
-        (tmp_path / key).write_bytes(header + b"\n" + text.encode())
-        assert cache_load(key, tmp_path) is None
+        (cache / key).write_bytes(header + b"\n" + text.encode())
+        assert cache_load(key) is None
 
     def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("BCHKIT_CACHE_DIR", str(tmp_path / "override"))

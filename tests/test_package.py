@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bchkit
 
 PACKAGE_DIR = Path(bchkit.__file__).parent
@@ -31,6 +33,19 @@ def test_imports_are_relative_or_stdlib():
                 if module.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {module}")
     assert not outside
+
+
+@pytest.mark.parametrize("module", ["signedeval", "freealgebra"])
+def test_independent_routes_share_only_the_input_guard(module):
+    # verify's reference routes: a kernel shared with series would pass its own bugs
+    path = PACKAGE_DIR / f"{module}.py"
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "series"
+        for alias in node.names
+    ]
+    assert imported == ["check_order"]
 
 
 def test_cli_import_leaves_out_pool_and_statistics():

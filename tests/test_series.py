@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 from bchkit import series as series_module
 from bchkit.freealgebra import oracle_bch
 from bchkit.multilinear import MultilinearPoly, mono_from_positions
-from bchkit.series import bch_term, bch_term_multi, clear_term_cache, logf_term, t_operator, term_lanes
+from bchkit.series import (
+    bch_term,
+    bch_term_multi,
+    clear_term_cache,
+    lex_lanes,
+    logf_term,
+    t_operator,
+    term_lanes,
+)
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet, NCSeries
 
@@ -169,8 +177,10 @@ class TestBchTermMulti:
         assert bch_term_multi(n, 2) == bch_term(n)
 
     def test_factor_count_validation(self):
-        with pytest.raises(ValueError):
-            bch_term_multi(2, 1)
+        # check_order's one wording, from each entry that takes a factor count
+        for call in (lambda: bch_term_multi(3, 1), lambda: lex_lanes(3, [SeriesSpec.exponential(3)])):
+            with pytest.raises(ValueError, match="^factor count must be >= 2, got 1$"):
+                call()
         with pytest.raises(ValueError):
             bch_term_multi(0, 3)
 
@@ -224,6 +234,10 @@ class TestLogfTerm:
     def test_factor_count_validation(self):
         with pytest.raises(ValueError):
             logf_term(2, [ONE_PLUS_T])
+
+    def test_alphabet_must_match_the_series(self):
+        with pytest.raises(ValueError, match="2 factors need 2 letters, alphabet has 3"):
+            logf_term(2, [ONE_PLUS_T, ONE_PLUS_T], A3)
 
     def test_series_must_lead_with_one(self):
         with pytest.raises(ValueError):

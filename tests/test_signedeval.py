@@ -14,7 +14,7 @@ import pytest
 
 from bchkit import signedeval
 from bchkit.cli import main
-from bchkit.series import bch_term, term_lanes
+from bchkit.series import MAX_WORDS, bch_term, term_lanes
 from bchkit.signedeval import (
     POOL_MIN_MASKS,
     PRUNING_MODES,
@@ -226,12 +226,44 @@ class TestWidthProof:
 
 class TestAboveTheCap:
     def test_lattice_terms_of_order_sixteen(self):
-        # two orders past verify's signed cap, where W = 80: every order equals
-        # the symbolic kernel's, cross-multiplied over the two denominators
+        # order 16, where W = 80: every order equals the symbolic kernel's,
+        # cross-multiplied over the two denominators
         for d, (den, nums) in enumerate(lattice_terms(16), 1):
             ref_den, ref = term_lanes(d, 2)
             assert len(nums) == len(ref) == 1 << d
             assert [x * ref_den for x in nums] == [y * den for y in ref]
+
+
+class TestRefusals:
+    """The lattice's entries refuse what series.check_order refuses, and
+    workers < 1, before a single walk."""
+
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked a refused lattice")
+
+        monkeypatch.setattr(signedeval, "_walk", refuse)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: scan_nonvanishing(23),
+            lambda: lattice_terms(23),
+            lambda: build_table(23),
+            lambda: scan_nonvanishing(10**9),
+        ],
+        ids=["scan", "lattice_terms", "build_table", "scan-huge"],
+    )
+    def test_oversized_order(self, call):
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_WORDS}"):
+            call()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one(self, workers):
+        for call in (scan_nonvanishing, build_table):
+            with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}$"):
+                call(5, workers=workers)
 
 
 class TestLowerOrders:

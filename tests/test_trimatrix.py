@@ -78,6 +78,12 @@ class TestSeriesSpec:
             Fraction(1, 24),
         ]
 
+    def test_negative_degree_and_index_refused(self):
+        with pytest.raises(ValueError, match="max_degree must be >= 0, got -1"):
+            SeriesSpec.exponential(-1)
+        with pytest.raises(ValueError, match="coefficient index must be >= 0, got -1"):
+            SeriesSpec.from_coeffs([1, 1]).coeff(-1)
+
     def test_fingerprint_trims_trailing_zeros(self):
         assert SeriesSpec.from_coeffs([1, 1, 0, 0]).fingerprint() == "1,1"
         assert SeriesSpec.from_coeffs([1, 0, Fraction(1, 2)]).fingerprint() == "1,0,1/2"
