@@ -5,7 +5,8 @@ routes, each run once at its top order, on integer numerators per order),
 scan (nonvanishing census of the sign lattice), bench (timing).
 Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 invalid arguments (including orders over the series.MAX_WORDS
-size limit) or out of memory, 2 verification mismatch, 3 I/O failure.
+size limit or the series.MAX_BITS budget) or out of memory, 2 verification
+mismatch, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import compress, count, islice, product, repeat
+from math import gcd
 from operator import mul, ne
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -200,10 +202,27 @@ Lanes = tuple[int, Sequence[int]]  # one order: a denominator and graded-lex num
 
 
 def _first_diff(den: int, a: Sequence[int], den_ref: int, b: Sequence[int]) -> int | None:
-    """Index of the first lane where a[k] / den != b[k] / den_ref, cross-multiplied; else None."""
+    """Index of the first lane where a[k] / den != b[k] / den_ref, else None.
+
+    With g = gcd(den, den_ref) this compares a (den_ref / g) against
+    b (den / g), and a side whose factor is 1 is not multiplied: in every
+    route one denominator divides the other, so one side never is.  The two
+    sides are compared whole, as lists, in one C-level pass; only a mismatch
+    looks for its index."""
     if len(a) != len(b):  # a prefix must never pass for the whole order
         raise ValueError(f"{len(a)} pipeline numerators against {len(b)} reference numerators")
-    return next(compress(count(), map(ne, map(mul, a, repeat(den_ref)), map(mul, b, repeat(den)))), None)
+    g = gcd(den, den_ref)
+    x, y = _scaled(a, den_ref // g), _scaled(b, den // g)
+    if x == y:
+        return None
+    return next(compress(count(), map(ne, x, y)))
+
+
+def _scaled(nums: Sequence[int], factor: int) -> list[int]:
+    """nums times factor, as a list; a list times 1 is nums itself."""
+    if factor != 1:
+        return list(map(mul, nums, repeat(factor)))
+    return nums if isinstance(nums, list) else list(nums)
 
 
 def _verify_pairs(mode: str, limit: int, m: int) -> Iterator[tuple[Lanes, Lanes]]:

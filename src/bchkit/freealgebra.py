@@ -8,9 +8,10 @@ order, the length-L words from (m^L - 1)/(m - 1).  Since
 flat(uv) = m^|v| flat(u) + flat(v), carrying one word v onto every u that
 fits under the cap is one strided slice update; every fitting pair of words
 is still multiplied.  The oracle writes each factor f_k(a_k) straight into a
-flat list, multiplies them and takes the log series, all on integers; one
-run at the top order answers a ``verify`` route, as lanes per order.  The
-log series runs by Horner's rule, each bracket kept to the degrees still
+flat list, starts the chain from f_0(a_0)'s own list, multiplies the other
+m - 1 factors onto it and takes the log series, all on integers; one run at
+the top order answers a ``verify`` route, as lanes per order.  The log
+series runs by Horner's rule, each bracket kept to the degrees still
 reachable, a prefix of the flat list, and scaled to integers (``_power_sum``).
 ``nc_mul`` is the one entry on word series, for the tests and the tracer.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, floordiv, mul
 
 from .series import check_order
 from .trimatrix import SeriesSpec
@@ -104,25 +105,33 @@ def nc_mul(a: NCSeries, b: NCSeries) -> NCSeries:
     return _series(a.alphabet, a.max_degree, _concat(fa, fb, a.alphabet.size, a.max_degree), da * db)
 
 
+def _letter_flat(f: SeriesSpec, k: int, starts: list[int]) -> tuple[list[int], int]:
+    """f(a_k) truncated past degree len(starts) - 2, as a flat list over the
+    lcm of its denominators: c_j on the word a_k^j, at flat index
+    (k+1)(m^j - 1)/(m - 1)."""
+    coeffs = [f.coeff(j) for j in range(len(starts) - 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    flat = [0] * starts[-1]
+    for j, c in enumerate(coeffs):
+        flat[(k + 1) * starts[j]] = c.numerator * (den // c.denominator)
+    return flat, den
+
+
 def _oracle(n: int, m: int, f_list: list[SeriesSpec]) -> tuple[list[int], int]:
     """log(f_0(a_0) f_1(a_1) ...) truncated past degree n, as flat integers over
     one denominator.  Its length-d words are z_d for every d <= n: concatenation
-    never shortens a word, so truncating at n drops nothing of degree <= n."""
+    never shortens a word, so truncating at n drops nothing of degree <= n.
+    The product starts from f_0(a_0)'s own list and denominator."""
     check_order(n, m)
     if len(f_list) != m:
         raise ValueError(f"expected {m} series, got {len(f_list)}")
     starts = _starts(m, n)
-    flat, den = [1] + [0] * (starts[-1] - 1), 1
-    for k, f in enumerate(f_list):
-        # f(a_k): c_j on the word a_k^j, at flat index (k+1)(m^j - 1)/(m - 1)
-        coeffs = [f.coeff(j) for j in range(n + 1)]
-        dk = lcm(*(c.denominator for c in coeffs))
-        factor = [0] * starts[-1]
-        for j, c in enumerate(coeffs):
-            factor[(k + 1) * starts[j]] = c.numerator * (dk // c.denominator)
+    factors = (_letter_flat(f, k, starts) for k, f in enumerate(f_list))
+    flat, den = next(factors)
+    for factor, dk in factors:
         flat, den = _concat(flat, factor, m, n), den * dk
     g = gcd(den, *flat)  # unreduced, the power sum's ints double in width
-    return _power_sum([c // g for c in flat], den // g, m, n)
+    return _power_sum(list(map(floordiv, flat, repeat(g))), den // g, m, n)
 
 
 def oracle_lanes(n: int, m: int, f_list: list[SeriesSpec]) -> list[tuple[int, list[int]]]:
@@ -131,7 +140,7 @@ def oracle_lanes(n: int, m: int, f_list: list[SeriesSpec]) -> list[tuple[int, li
     flat, den = _oracle(n, m, f_list)
     starts = _starts(m, n)
     orders = [flat[lo:hi] for lo, hi in zip(starts[1:], starts[2:])]
-    return [(den // g, [c // g for c in nums]) for nums in orders for g in [gcd(den, *nums)]]
+    return [(den // g, list(map(floordiv, nums, repeat(g)))) for nums in orders for g in [gcd(den, *nums)]]
 
 
 def oracle_bch(n: int, m: int, f_list: list[SeriesSpec], alphabet: Alphabet | None = None) -> NCSeries:

@@ -36,6 +36,8 @@ from .words import Alphabet, NCSeries
 
 # z_n over m letters has up to m**n words, one lane each
 MAX_WORDS = 1 << 22
+# the packed entry holds m**n lanes of W bits: twice exp's 2**22 * 128 at n = 22
+MAX_BITS = 1 << 30
 
 
 def check_order(n: int, m: int = 2) -> None:
@@ -166,7 +168,9 @@ class Stages:
 def lex_lanes(n: int, f_list: Sequence[SeriesSpec], stages: Stages | None = None) -> tuple[int, list[int]]:
     """L S_n and the integer numerator over it of every length-n word of the
     term, in graded-lex word order, zeros included.  ``stages``, when given,
-    gets the lane width and the laps scales, width, recurrence and unpack."""
+    gets the lane width and the laps scales, width, recurrence and unpack.
+    A packed entry of m**n lanes of W bits over MAX_BITS is refused once W is
+    known, before the recurrence."""
     m = len(f_list)
     check_order(n, m)
     stages = stages or Stages()
@@ -174,6 +178,11 @@ def lex_lanes(n: int, f_list: Sequence[SeriesSpec], stages: Stages | None = None
     stages.lap("scales")
     stages.width = width = lane_width(n, steps)
     stages.lap("width")
+    if m**n * width > MAX_BITS:
+        raise ValueError(
+            f"order {n} over {m} factors needs {m}^{n} lanes of W = {width} bits, "
+            f"over the budget of {MAX_BITS} bits"
+        )
     packed = packed_log_entry(n, steps, width)
     stages.lap("recurrence")
     nums = unpack_lanes(packed, width, n, m)

@@ -230,6 +230,17 @@ def oracle_log_reference(n: int, m: int, f_list) -> NCSeries:
     return nc_log_reference(product)
 
 
+def prime_series(n: int) -> list[str]:
+    """Coefficients of 1 + t/1009 + t^2/1013 + ... up to t^n, over the primes
+    from 1009 up: a series whose lanes are far wider than exp's."""
+    primes, p = [], 1009
+    while len(primes) < n:
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            primes.append(p)
+        p += 1
+    return ["1", *(f"1/{p}" for p in primes)]
+
+
 def bernoulli(n: int) -> list[Fraction]:
     """B_0 .. B_n (B_1 = -1/2) from sum_(k <= j) C(j + 1, k) B_k = 0."""
     b = [Fraction(1)]

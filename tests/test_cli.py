@@ -17,7 +17,7 @@ from bchkit.dynkin import dynkin_substitute
 from bchkit.freealgebra import oracle_bch
 from bchkit.trimatrix import SeriesSpec
 from bchkit.words import Alphabet, NCSeries
-from helpers import lane_masks
+from helpers import lane_masks, prime_series
 
 
 @pytest.fixture(autouse=True)
@@ -596,6 +596,38 @@ class TestVerify:
         assert err.startswith("error:")
 
 
+class TestFirstDiff:
+    """_first_diff compares a / den against b / den_ref lane by lane, whichever
+    denominator divides the other, or neither; the lanes here are z_6's
+    numerators read as integers, scaled by each side's denominator."""
+
+    BASE = list(series.term_lanes(6, 2)[1])
+    DENS = {"equal": (6, 6), "den_ref_divides_den": (12, 4), "den_divides_den_ref": (4, 12), "coprime": (4, 9)}
+
+    def pair(self, case):
+        den, den_ref = self.DENS[case]
+        return den, tuple(c * den for c in self.BASE), den_ref, [c * den_ref for c in self.BASE]
+
+    @pytest.mark.parametrize("case", DENS)
+    def test_equal_orders_give_none(self, case):
+        # a tuple pipeline, as the term memo hands out, against a list reference
+        assert cli._first_diff(*self.pair(case)) is None
+
+    @pytest.mark.parametrize("index", [0, 32, 63], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("case", DENS)
+    def test_a_changed_lane_is_located(self, case, index):
+        den, a, den_ref, b = self.pair(case)
+        b[index] += 1
+        assert cli._first_diff(den, a, den_ref, b) == index
+        b[index] -= 1
+        a = [c - (k >= index) for k, c in enumerate(a)]  # every later lane changed too
+        assert cli._first_diff(den, a, den_ref, b) == index
+
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="^3 pipeline numerators against 2 reference numerators$"):
+            cli._first_diff(2, (2, 4, 6), 1, [1, 2])
+
+
 class TestScan:
     def test_small_scan(self, capsys):
         code, out, _ = run(capsys, "scan", "4")
@@ -713,6 +745,21 @@ class TestSizeLimit:
         code, _, err = run(capsys, "term", "5", "--no-cache")
         assert code == 1
         assert "limit of 16" in err
+
+
+class TestBitsBudget:
+    def test_wide_term_refused_before_the_recurrence(self, capsys, monkeypatch, isolated_cache):
+        # 2^22 lanes of W = 768 bits, six times exp's 2^22 * 128 at n = 22
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recurrence ran over the bits budget")
+
+        monkeypatch.setattr(series, "packed_log_entry", refuse)
+        start = time.perf_counter()
+        result = run(capsys, "term", "22", "--series", ",".join(prime_series(22)))
+        assert time.perf_counter() - start < 1
+        assert result == (1, "", "error: order 22 over 2 factors needs 2^22 lanes of W = 768 bits, "
+                                 f"over the budget of {series.MAX_BITS} bits\n")
+        assert not list(isolated_cache.glob("*"))
 
 
 class TestRefusals:

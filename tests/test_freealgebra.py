@@ -269,6 +269,7 @@ class TestOracleLog:
             (4, 5, [SeriesSpec.exponential(5)] * 4),
             (2, 7, seeded_specs(2, 7)),
             (3, 5, seeded_specs(3, 5)),
+            (4, 4, [seeded_specs(4, 4)[0], *[SeriesSpec.exponential(4)] * 3]),  # chain starts at 1 + 4/9 a + ...
             (2, 8, [NO_C1] * 2),
             (3, 5, [NO_C1] * 3),
             (2, 8, [NO_C12] * 2),
@@ -277,8 +278,8 @@ class TestOracleLog:
             (2, 6, [ONE] * 2),
             (3, 4, [ONE] * 3),
         ],
-        ids=["exp-m2", "exp-m3", "exp-m4", "random-m2", "random-m3", "no-c1-m2", "no-c1-m3",
-             "no-c1-c2-m2", "one-no-c1-m2", "one-no-c1-c2-m3", "unit-m2", "unit-m3"],
+        ids=["exp-m2", "exp-m3", "exp-m4", "random-m2", "random-m3", "random-first-m4", "no-c1-m2",
+             "no-c1-m3", "no-c1-c2-m2", "one-no-c1-m2", "one-no-c1-c2-m3", "unit-m2", "unit-m3"],
     )
     def test_every_order_is_a_slice_of_the_top_run(self, m, top, specs):
         lanes = oracle_lanes(top, m, specs)

@@ -20,6 +20,7 @@ from bchkit.series import (
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
 from bchkit.words import Alphabet, NCSeries
+from helpers import prime_series
 
 A2 = Alphabet.default(2)
 A3 = Alphabet.default(3)
@@ -279,6 +280,43 @@ class TestSizeLimit:
         monkeypatch.setattr(series_module, "_scaled_steps", refuse)
         with pytest.raises(ValueError, match=f"limit of {series_module.MAX_WORDS}"):
             call()
+
+
+class TestBitsBudget:
+    """lex_lanes refuses m**n lanes of W bits over MAX_BITS once W is known,
+    before the recurrence; every exp order fits."""
+
+    class Admitted(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_recurrence(self, monkeypatch):
+        def admitted(*args, **kwargs):
+            raise self.Admitted
+
+        monkeypatch.setattr(series_module, "packed_log_entry", admitted)
+
+    @pytest.mark.parametrize("n,width", [(21, 728), (22, 768)])
+    def test_wide_series_refused(self, n, width):
+        spec = SeriesSpec.from_coeffs(prime_series(n))
+        with pytest.raises(ValueError) as refused:
+            lex_lanes(n, [spec, spec])
+        assert str(refused.value) == (f"order {n} over 2 factors needs 2^{n} lanes of W = {width} bits, "
+                                      f"over the budget of {series_module.MAX_BITS} bits")
+
+    @pytest.mark.parametrize(
+        "n,specs",
+        [
+            (20, [SeriesSpec.from_coeffs(prime_series(20))] * 2),
+            (22, [SeriesSpec.exponential(22)] * 2),
+            (11, [SeriesSpec.exponential(11)] * 4),
+            (13, [SeriesSpec.exponential(13)] * 3),
+        ],
+        ids=["wide-20", "exp-22", "exp-11x4", "exp-13x3"],
+    )
+    def test_admitted_up_to_the_budget(self, n, specs):
+        with pytest.raises(self.Admitted):
+            lex_lanes(n, specs)
 
 
 def random_spec(rng, n):

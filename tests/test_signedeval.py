@@ -224,7 +224,7 @@ class TestWidthProof:
         assert [signedeval._lane_width(n) for n in (9, 11, 12, 14, 18, 22)] == [40, 48, 56, 64, 88, 112]
 
 
-class TestAboveTheCap:
+class TestLatticeAtEightyBits:
     def test_lattice_terms_of_order_sixteen(self):
         # order 16, where W = 80: every order equals the symbolic kernel's,
         # cross-multiplied over the two denominators
