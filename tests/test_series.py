@@ -284,7 +284,7 @@ class TestSizeLimit:
 
 class TestBitsBudget:
     """lex_lanes refuses m**n lanes of W bits over MAX_BITS once W is known,
-    before the recurrence; every exp order fits."""
+    before the recurrence; exp's widest entries at m = 2, 3 and 4 fit."""
 
     class Admitted(Exception):
         pass
