@@ -14,16 +14,16 @@ evaluation of the same entry and a commutator form round trip check it.
 __version__ = "0.1.0"
 
 from .multilinear import MultilinearPoly, Rational, SupportOverlapError
+from .words import Alphabet, NCSeries, SeriesSpec, Word
 from .trimatrix import (
-    SeriesSpec,
     TriMatrix,
     build_factor_matrix,
     log_upper_right,
     mat_mul,
+    t_operator,
     word_matrix_product,
 )
-from .words import Alphabet, NCSeries, Word
-from .series import bch_term, bch_term_multi, logf_term, t_operator
+from .series import bch_term, bch_term_multi, logf_term
 from .dynkin import LieTerm, dynkin_substitute, expand_commutators
 from .signedeval import (
     ScanReport,

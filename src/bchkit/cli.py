@@ -4,7 +4,7 @@ Subcommands: term (compute one order), verify (cross-check the independent
 routes, each run once at its top order, on integer numerators per order),
 scan (nonvanishing census of the sign lattice), bench (timing).
 Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
-0 success, 1 invalid arguments (including orders over the series.MAX_WORDS
+0 success, 1 invalid arguments (including orders over the words.MAX_WORDS
 size limit or the series.MAX_BITS budget) or out of memory, 2 verification
 mismatch, 3 I/O failure.
 """
@@ -35,14 +35,17 @@ from .output import (
     cache_load,
     cache_store,
 )
-from .series import Stages, check_order, lex_lanes, term_lanes
+from .series import Stages, lex_lanes, term_lanes
 from .signedeval import lattice_terms, reconstruct_term, scan_nonvanishing
-from .trimatrix import SeriesSpec
-from .words import Alphabet
+from .words import Alphabet, SeriesSpec, check_order
 
 
 class UsageError(Exception):
     pass
+
+
+class Mismatch(Exception):
+    """A verify reference that differs from the pipeline: exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,13 +109,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_letters(raw: str | None, m: int) -> Alphabet:
+def _parse_letters(raw: str | None, m: int, fmt: str, dynkin: bool) -> Alphabet:
     if raw is None:
         return Alphabet.default(m)
     names = [part.strip() for part in raw.split(",")]
     if len(names) != m:
         raise UsageError(f"--letters names {len(names)} letters but --factors is {m}")
-    return Alphabet.from_names(names)
+    alphabet = Alphabet.from_names(names)
+    for letter in alphabet.letters:  # refuse what would not compile, or not read back as a bracket
+        if fmt == "latex" and letter in "\\{}_^%$#&~":
+            raise UsageError(f"letter {letter!r} is special in LaTeX; --format latex cannot write it")
+        if dynkin and letter in "[]":
+            raise UsageError(f"letter {letter!r} is a bracket; --dynkin rows cannot write it")
+    return alphabet
 
 
 MAX_EXPONENT = 4300  # Python's int-string limit, which the series fingerprint hits anyway
@@ -135,26 +144,19 @@ def _parse_one_series(raw: str, n: int) -> tuple[str, SeriesSpec]:
 
 
 def _parse_series(raw_list: Sequence[str] | None, m: int, n: int) -> tuple[list[str], list[SeriesSpec]]:
-    if not raw_list:
-        raw_list = ["exp"]
+    raw_list = list(raw_list or ["exp"])
     if len(raw_list) == 1:
-        raw_list = list(raw_list) * m
+        raw_list *= m
     if len(raw_list) != m:
-        raise UsageError(
-            f"--series given {len(raw_list)} times; give it once (shared by all "
-            f"factors) or {m} times (one per factor)"
-        )
-    names, specs = [], []
-    for raw in raw_list:
-        name, spec = _parse_one_series(raw, n)
-        names.append(name)
-        specs.append(spec)
-    return names, specs
+        raise UsageError(f"--series given {len(raw_list)} times; give it once (shared by all "
+                         f"factors) or {m} times (one per factor)")
+    names, specs = zip(*(_parse_one_series(raw, n) for raw in raw_list))
+    return list(names), list(specs)
 
 
 def cmd_term(args: argparse.Namespace) -> int:
     check_order(args.n, args.factors)
-    alphabet = _parse_letters(args.letters, args.factors)
+    alphabet = _parse_letters(args.letters, args.factors, args.format, args.dynkin)
     series_names, specs = _parse_series(args.series, args.factors, args.n)
     key = cache_key(args.n, alphabet.letters, series_names, args.dynkin, args.format)
     stages = Stages()
@@ -210,7 +212,7 @@ def _first_diff(den: int, a: Sequence[int], den_ref: int, b: Sequence[int]) -> i
     sides are compared whole, as lists, in one C-level pass; only a mismatch
     looks for its index."""
     if len(a) != len(b):  # a prefix must never pass for the whole order
-        raise ValueError(f"{len(a)} pipeline numerators against {len(b)} reference numerators")
+        raise Mismatch(f"{len(a)} pipeline numerators against {len(b)} reference numerators")
     g = gcd(den, den_ref)
     x, y = _scaled(a, den_ref // g), _scaled(b, den // g)
     if x == y:
@@ -266,10 +268,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"note: {mode} capped at n={limit}", file=sys.stderr)
         m = 3 if mode == "multi" else 2
         for n, ((den, a), (den_ref, b)) in enumerate(_verify_pairs(mode, limit, m), 1):
-            if (k := _first_diff(den, a, den_ref, b)) is not None:  # only now a word and Fractions
-                word = "".join(next(islice(product(Alphabet.default(m).letters, repeat=n), k, None)))
-                print(f"FAIL {mode} n={n}: word {word}: pipeline {Fraction(a[k], den)}, "
-                      f"reference {Fraction(b[k], den_ref)}")
+            try:  # a lane count or a lane: one FAIL line either way
+                if (k := _first_diff(den, a, den_ref, b)) is not None:  # only now a word and Fractions
+                    word = "".join(next(islice(product(Alphabet.default(m).letters, repeat=n), k, None)))
+                    raise Mismatch(f"word {word}: pipeline {Fraction(a[k], den)}, "
+                                   f"reference {Fraction(b[k], den_ref)}")
+            except Mismatch as exc:
+                print(f"FAIL {mode} n={n}: {exc}")
                 return 2
             print(f"ok {mode} n={n} ({len(a) - a.count(0)} words)")
     print("all checks passed")

@@ -17,8 +17,7 @@ from math import lcm
 from operator import mul, sub
 from typing import Sequence
 
-from .series import check_order
-from .words import Alphabet, NCSeries, Word
+from .words import Alphabet, NCSeries, Word, check_order
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def expand_commutators(terms: Sequence[LieTerm], alphabet: Alphabet) -> NCSeries
 
     Each length's terms become one graded-lex vector of integers over one
     common denominator, expanded by ``_expand_lex``.  A letter outside the
-    alphabet or a length over series.MAX_WORDS words raises ValueError first.
+    alphabet or a length over words.MAX_WORDS words raises ValueError first.
     """
     m = alphabet.size
     groups: dict[int, list[LieTerm]] = {}

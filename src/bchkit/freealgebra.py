@@ -1,10 +1,10 @@
 """Brute-force truncated free-algebra engine, the package's ground truth.
 
-Deliberately the slow, obvious algorithm, none of the matrix pipeline's: no
-matrices, no packed lanes, no row or column log.  A series truncated past
-degree cap over m letters is one flat list of integer numerators over one
-denominator, word w at flat(w) = sum_i (w_i + 1) m^(|w|-1-i): graded-lex
-order, the length-L words from (m^L - 1)/(m - 1).  Since
+Deliberately the slow, obvious algorithm, on ``words`` alone, none of the
+matrix pipeline's: no matrices, no packed lanes, no row or column log.  A
+series truncated past degree cap over m letters is one flat list of integer
+numerators over one denominator, word w at flat(w) = sum_i (w_i + 1)
+m^(|w|-1-i): graded-lex order, the length-L words from (m^L - 1)/(m - 1).  Since
 flat(uv) = m^|v| flat(u) + flat(v), carrying one word v onto every u that
 fits under the cap is one strided slice update; every fitting pair of words
 is still multiplied.  The oracle writes each factor f_k(a_k) straight into a
@@ -23,9 +23,7 @@ from itertools import chain, compress, product, repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul
 
-from .series import check_order
-from .trimatrix import SeriesSpec
-from .words import Alphabet, NCSeries
+from .words import Alphabet, NCSeries, SeriesSpec, check_order
 
 # Public name kept for importers; nc_mul works on the shared word series.
 TruncatedNCSeries = NCSeries
@@ -54,19 +52,17 @@ def _series(alphabet: Alphabet, cap: int, flat: list[int], den: int) -> NCSeries
     return NCSeries(alphabet, cap, {w: Fraction(c, den) for w, c in zip(words, flat) if c})
 
 
-def _concat(a: list[int], b: list[int], m: int, cap: int, low: int = 0) -> list[int]:
-    """Flat concatenation product, overweight words dropped; a holds no word
-    shorter than ``low``, so only the words of b that fit after one are read."""
+def _concat(a: list[int], b: list[int], m: int, cap: int) -> list[int]:
+    """Flat concatenation product, overweight words dropped."""
     starts = _starts(m, cap)
     out = [0] * len(a)
-    first = starts[low]
-    for length in range(cap - low + 1):
+    for length in range(cap + 1):
         step = m**length
         count = starts[cap - length + 1]  # the words u with |uv| <= cap
-        src = a[first:count]
+        src = a[:count]
         lo, hi = starts[length], starts[length + 1]
         for v in compress(range(lo, hi), b[lo:hi]):
-            s = slice(v + first * step, v + count * step, step)
+            s = slice(v, v + count * step, step)
             out[s] = map(add, out[s], map(mul, src, repeat(b[v])))
     return out
 

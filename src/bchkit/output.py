@@ -163,11 +163,7 @@ def render_latex(doc: OutputDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-RENDERERS = {
-    "text": render_text,
-    "json": lambda doc: doc.to_json_text(),
-    "latex": render_latex,
-}
+RENDERERS = {"text": render_text, "json": OutputDocument.to_json_text, "latex": render_latex}
 
 
 CACHE_ENV_VAR = "BCHKIT_CACHE_DIR"

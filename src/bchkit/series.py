@@ -15,8 +15,8 @@ the unpack needs no digit-reversal index, and ``lex_lanes`` hands out each
 word's integer numerator in the order the output prints them, with no word
 tuples and no sort.  The term memo holds only those ints, per order and
 series, and each call decodes a fresh ``NCSeries`` from them, so no caller
-can edit another's term.  The matrix route (build_factor_matrix, mat_mul,
-log_upper_right, t_operator) is the reference the tests compare against.
+can edit another's term.  The matrix route of ``trimatrix``, the reference
+the tests compare against, is imported here only for the tracer.
 """
 
 from __future__ import annotations
@@ -29,40 +29,12 @@ from operator import add, lshift, sub
 from time import perf_counter
 from typing import Sequence
 
-from .multilinear import MultilinearPoly, mono_digits
 # perfbench/tracing.py wraps the matrix route's names in this module
-from .trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
-from .words import Alphabet, NCSeries
+from .trimatrix import build_factor_matrix, log_upper_right, mat_mul, t_operator
+from .words import Alphabet, NCSeries, SeriesSpec, check_order
 
-# z_n over m letters has up to m**n words, one lane each
-MAX_WORDS = 1 << 22
 # the packed entry holds m**n lanes of W bits: twice exp's 2**22 * 128 at n = 22
 MAX_BITS = 1 << 30
-
-
-def check_order(n: int, m: int = 2) -> None:
-    """The one input guard of every route, called once at its entry: refuse,
-    before any work, m < 2 factors, n < 1, and orders whose m**n words (or
-    2**n sign assignments) are over MAX_WORDS."""
-    if m < 2:
-        raise ValueError(f"factor count must be >= 2, got {m}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    # m >= 2, so m**n > MAX_WORDS once n reaches its bit length; testing
-    # that first keeps the check itself from building a huge power
-    if n >= MAX_WORDS.bit_length() or m**n > MAX_WORDS:
-        raise ValueError(f"order {n} needs up to {m}^{n} words, over the limit of {MAX_WORDS}")
-
-
-def t_operator(p: MultilinearPoly, alphabet: Alphabet) -> NCSeries:
-    """Transport a multilinear polynomial to the word basis.
-
-    A monomial maps to the length-n word carrying letter k at each position
-    occupied by a family-k variable and the base letter elsewhere; this is a
-    bijection on basis elements, so coefficients transfer unchanged.
-    """
-    n = p.n
-    return NCSeries(alphabet, n, {mono_digits(n, mono): c for mono, c in p.terms.items()})
 
 
 def _scaled_steps(n: int, f_list: Sequence[SeriesSpec]) -> tuple[int, list[list[list[int]]]]:

@@ -45,8 +45,8 @@ from math import comb, factorial, lcm
 from operator import add, countOf, lshift, mul, sub
 from typing import Iterable, Sequence
 
-from .series import check_order  # the input guard alone: _walk shares no kernel code
-from .words import Alphabet, NCSeries
+# words alone, the input guard among them: _walk shares no kernel code
+from .words import Alphabet, NCSeries, check_order
 
 SignAssignment = tuple[int, ...]
 OrderLanes = tuple[int, int, int, list[int]]  # (order, denominator, first P-lane, numerators)

@@ -8,73 +8,23 @@ superdiagonal matrix S is nilpotent with S**(n+1) = 0, so any power series
 applied to S collapses to a polynomial and both the series evaluation and
 the matrix logarithm below terminate exactly.
 
-These matrices are the reference route.  The kernel in ``series`` applies
-the same factor matrices, as integer step coefficients, to a packed last
-column and never forms a matrix; ``mat_mul`` and the plain Fraction
-``log_upper_right`` here are what the tests compare it against, and
-``word_matrix_product`` checks the word-to-matrix identity directly.
+These matrices are the reference route, decode included.  The kernel in
+``series`` applies the same factor matrices, as integer step coefficients,
+to a packed last column and never forms a matrix; ``mat_mul``, the plain
+Fraction ``log_upper_right`` and ``t_operator``, which reads the entry as
+words, are what the tests compare it against, and ``word_matrix_product``
+checks the word-to-matrix identity directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .multilinear import MultilinearPoly, Rational
+from .multilinear import MultilinearPoly, mono_digits
+from .words import Alphabet, NCSeries, SeriesSpec
 
 BASE_FAMILY = 0
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Coefficients c_0, c_1, ... of a power series f(t) with f(0) = 1.
-
-    Coefficients past the end of the stored tuple are zero, so the
-    polynomial 1 + t is simply ``SeriesSpec.from_coeffs([1, 1])``.  Trailing
-    zeros are trimmed on construction, so equal series are equal specs with
-    equal hashes.  The hash is kept: memo keys hash the spec on every lookup.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[0] != 1:
-            raise ValueError("series must satisfy f(0) = 1")
-        end = len(self.coeffs)
-        while end > 1 and self.coeffs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", self.coeffs[:end])
-        object.__setattr__(self, "_hash", hash(self.coeffs))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @classmethod
-    def from_coeffs(cls, values: Iterable[Rational | int | str]) -> "SeriesSpec":
-        return cls(tuple(Fraction(v) for v in values))
-
-    @classmethod
-    @cache
-    def exponential(cls, max_degree: int) -> "SeriesSpec":
-        """exp truncated at t**max_degree: c_k = 1/k!, one spec per degree."""
-        if max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-        return cls(tuple(Fraction(1, factorial(k)) for k in range(max_degree + 1)))
-
-    def coeff(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError(f"coefficient index must be >= 0, got {k}")
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-
-    def fingerprint(self) -> str:
-        """Canonical text form; equal series agree."""
-        return ",".join(str(c) for c in self.coeffs)
-
-    def __str__(self) -> str:
-        return self.fingerprint()
 
 
 class TriMatrix:
@@ -219,3 +169,14 @@ def word_matrix_product(n: int, word: "str | Sequence[int]") -> MultilinearPoly:
     for s in picks[1:]:
         product = mat_mul(product, base if s == 0 else sigma)
     return product.rows[0][n]
+
+
+def t_operator(p: MultilinearPoly, alphabet: Alphabet) -> NCSeries:
+    """Transport a multilinear polynomial to the word basis.
+
+    A monomial maps to the length-n word carrying letter k at each position
+    occupied by a family-k variable and the base letter elsewhere; this is a
+    bijection on basis elements, so coefficients transfer unchanged.
+    """
+    n = p.n
+    return NCSeries(alphabet, n, {mono_digits(n, mono): c for mono, c in p.terms.items()})

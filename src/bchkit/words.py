@@ -1,17 +1,24 @@
-"""Alphabets, words, and noncommutative series in the word basis
-(``NCSeries``, built on the base ``multilinear.ExactCombination``)."""
+"""What every route shares: alphabets, words, factor series (``SeriesSpec``),
+the input guard ``check_order`` and word-basis series (``NCSeries``, on
+``multilinear.ExactCombination``).  The reference routes import nothing
+else of the package, so they share no kernel."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress, product
+from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .multilinear import ExactCombination, Rational
 
 # A word is a tuple of letter indices into an Alphabet.
 Word = tuple[int, ...]
+
+# z_n over m letters has up to m**n words, one lane each
+MAX_WORDS = 1 << 22
 
 _DEFAULT_HEAD = ("x", "y", "w")
 _DEFAULT_TAIL = "abcdefghijklmnopqrstuv"
@@ -60,6 +67,69 @@ class Alphabet:
             return tuple(index[ch] for ch in text)
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} not in alphabet {self.letters}")
+
+
+def check_order(n: int, m: int = 2) -> None:
+    """The one input guard of every route, called once at its entry: refuse,
+    before any work, m < 2 factors, n < 1, and orders whose m**n words (or
+    2**n sign assignments) are over MAX_WORDS."""
+    if m < 2:
+        raise ValueError(f"factor count must be >= 2, got {m}")
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    # m >= 2, so m**n > MAX_WORDS once n reaches its bit length; testing
+    # that first keeps the check itself from building a huge power
+    if n >= MAX_WORDS.bit_length() or m**n > MAX_WORDS:
+        raise ValueError(f"order {n} needs up to {m}^{n} words, over the limit of {MAX_WORDS}")
+
+
+@dataclass(frozen=True)
+class SeriesSpec:
+    """Coefficients c_0, c_1, ... of a power series f(t) with f(0) = 1.
+
+    Coefficients past the end of the stored tuple are zero, so the
+    polynomial 1 + t is simply ``SeriesSpec.from_coeffs([1, 1])``.  Trailing
+    zeros are trimmed on construction, so equal series are equal specs with
+    equal hashes.  The hash is kept: memo keys hash the spec on every lookup.
+    """
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if not self.coeffs or self.coeffs[0] != 1:
+            raise ValueError("series must satisfy f(0) = 1")
+        end = len(self.coeffs)
+        while end > 1 and self.coeffs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", self.coeffs[:end])
+        object.__setattr__(self, "_hash", hash(self.coeffs))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @classmethod
+    def from_coeffs(cls, values: Iterable[Rational | int | str]) -> "SeriesSpec":
+        return cls(tuple(Fraction(v) for v in values))
+
+    @classmethod
+    @cache
+    def exponential(cls, max_degree: int) -> "SeriesSpec":
+        """exp truncated at t**max_degree: c_k = 1/k!, one spec per degree."""
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+        return cls(tuple(Fraction(1, factorial(k)) for k in range(max_degree + 1)))
+
+    def coeff(self, k: int) -> Fraction:
+        if k < 0:
+            raise ValueError(f"coefficient index must be >= 0, got {k}")
+        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+
+    def fingerprint(self) -> str:
+        """Canonical text form; equal series agree."""
+        return ",".join(str(c) for c in self.coeffs)
+
+    def __str__(self) -> str:
+        return self.fingerprint()
 
 
 class NCSeries(ExactCombination):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bchkit import __version__, cli, output, series, signedeval
+from bchkit import __version__, cli, output, series, signedeval, words
 from bchkit.cli import main
 from bchkit.dynkin import dynkin_substitute
 from bchkit.freealgebra import oracle_bch
@@ -556,7 +556,7 @@ class TestVerify:
 
     def test_a_reference_one_lane_short_is_refused(self, capsys, monkeypatch):
         # lanes are never compared on a common prefix: order 3 with 7 of its
-        # 8 lanes is an error naming both counts, not a pass
+        # 8 lanes is a mismatch naming both counts, not a pass
         lattice_terms = cli.lattice_terms
 
         def short(n_max):
@@ -567,9 +567,10 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "lattice_terms", short)
         code, out, err = run(capsys, "verify", "6", "--modes", "signed")
-        assert code == 1
-        assert out.splitlines() == ["ok signed n=1 (2 words)", "ok signed n=2 (2 words)"]
-        assert err == "error: 8 pipeline numerators against 7 reference numerators\n"
+        assert code == 2
+        assert out.splitlines() == ["ok signed n=1 (2 words)", "ok signed n=2 (2 words)",
+                                    "FAIL signed n=3: 8 pipeline numerators against 7 reference numerators"]
+        assert err == ""
 
     def test_default_modes_clamp_with_note(self, capsys):
         code, out, err = run(capsys, "verify", "7")
@@ -624,7 +625,9 @@ class TestFirstDiff:
         assert cli._first_diff(den, a, den_ref, b) == index
 
     def test_unequal_lengths_are_refused(self):
-        with pytest.raises(ValueError, match="^3 pipeline numerators against 2 reference numerators$"):
+        # a verification mismatch, not a ValueError that main reports as bad input
+        assert not issubclass(cli.Mismatch, ValueError)
+        with pytest.raises(cli.Mismatch, match="^3 pipeline numerators against 2 reference numerators$"):
             cli._first_diff(2, (2, 4, 6), 1, [1, 2])
 
 
@@ -731,14 +734,14 @@ class TestSizeLimit:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert f"limit of {series.MAX_WORDS}" in err
+        assert f"limit of {words.MAX_WORDS}" in err
 
     @pytest.mark.parametrize("command", ["term", "scan"])
     def test_order_zero_is_one_stderr_line(self, capsys, no_work, command):
         assert run(capsys, command, "0") == (1, "", "error: order must be >= 1, got 0\n")
 
     def test_limit_applies_to_words_of_the_term(self, capsys, monkeypatch):
-        monkeypatch.setattr(series, "MAX_WORDS", 16)
+        monkeypatch.setattr(words, "MAX_WORDS", 16)
         code, out, _ = run(capsys, "term", "4", "--no-cache")
         assert code == 0
         assert len(out.splitlines()) == 4
@@ -786,6 +789,30 @@ class TestRefusals:
     )
     def test_one_stderr_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "letters,flags,refused",
+        [
+            *((f"x,{c}", ("--format", "latex"), c) for c in "\\{}_^%$#&~"),
+            ("_,^", ("--format", "latex"), "_"),
+            ("[,]", ("--dynkin",), "["),
+            ("x,]", ("--dynkin", "--format", "json"), "]"),
+        ],
+    )
+    def test_letter_the_output_cannot_write(self, capsys, monkeypatch, letters, flags, refused):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cache was read for refused letters")
+
+        monkeypatch.setattr(cli, "cache_load", refuse)
+        why = "is a bracket; --dynkin rows" if refused in "[]" else "is special in LaTeX; --format latex"
+        assert run(capsys, "term", "3", "--letters", letters, *flags) == (
+            1, "", f"error: letter {refused!r} {why} cannot write it\n")
+
+    @pytest.mark.parametrize("letters,flags", [("_,^", ()), ("[,]", ()), ("[,]", ("--format", "latex"))])
+    def test_letter_another_output_writes_is_kept(self, monkeypatch, letters, flags):
+        # refused only where it cannot be written: the no_kernel fixture stops the run past the guard
+        with pytest.raises(AssertionError, match="a kernel ran"):
+            main(["term", "3", "--no-cache", "--letters", letters, *flags])
 
 
 # stdout digests of fixed commands, recorded by perfbench/record_digests.py on

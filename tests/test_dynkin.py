@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from bchkit.dynkin import LieTerm, dynkin_substitute, expand_commutators
-from bchkit.series import MAX_WORDS, bch_term
-from bchkit.words import Alphabet, NCSeries
+from bchkit.series import bch_term
+from bchkit.words import MAX_WORDS, Alphabet, NCSeries
 from helpers import expand_commutators_reference
 
 A2 = Alphabet.default(2)

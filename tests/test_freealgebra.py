@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bchkit.freealgebra import nc_mul, oracle_bch, oracle_lanes
-from bchkit.series import MAX_WORDS, bch_term, bch_term_multi
+from bchkit.series import bch_term, bch_term_multi
 from bchkit.trimatrix import SeriesSpec
-from bchkit.words import Alphabet, NCSeries
+from bchkit.words import MAX_WORDS, Alphabet, NCSeries
 from helpers import nc_log_reference, nc_mul_reference, oracle_log_reference, series_at_letter, to_lex
 
 A2 = Alphabet.default(2)

@@ -19,7 +19,7 @@ from bchkit.series import (
     term_lanes,
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
-from bchkit.words import Alphabet, NCSeries
+from bchkit.words import MAX_WORDS, Alphabet, NCSeries
 from helpers import prime_series
 
 A2 = Alphabet.default(2)
@@ -278,7 +278,7 @@ class TestSizeLimit:
             raise AssertionError("work started on an order over the size limit")
 
         monkeypatch.setattr(series_module, "_scaled_steps", refuse)
-        with pytest.raises(ValueError, match=f"limit of {series_module.MAX_WORDS}"):
+        with pytest.raises(ValueError, match=f"limit of {MAX_WORDS}"):
             call()
 
 

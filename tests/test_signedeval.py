@@ -14,7 +14,7 @@ import pytest
 
 from bchkit import signedeval
 from bchkit.cli import main
-from bchkit.series import MAX_WORDS, bch_term, term_lanes
+from bchkit.series import bch_term, term_lanes
 from bchkit.signedeval import (
     POOL_MIN_MASKS,
     PRUNING_MODES,
@@ -31,7 +31,7 @@ from bchkit.signedeval import (
     scan_nonvanishing,
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
-from bchkit.words import Alphabet, NCSeries
+from bchkit.words import MAX_WORDS, Alphabet, NCSeries
 from helpers import bernoulli, eval_assignment_reference, lane_leaves, lane_masks, varadarajan_terms
 
 A2 = Alphabet.default(2)
@@ -235,7 +235,7 @@ class TestLatticeAtEightyBits:
 
 
 class TestRefusals:
-    """The lattice's entries refuse what series.check_order refuses, and
+    """The lattice's entries refuse what words.check_order refuses, and
     workers < 1, before a single walk."""
 
     @pytest.fixture(autouse=True)
