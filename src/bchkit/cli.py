@@ -7,6 +7,13 @@ Payloads go to stdout or --out; diagnostics go to stderr.  Exit codes:
 0 success, 1 invalid arguments (including orders over the words.MAX_WORDS
 size limit or the series.MAX_BITS budget) or out of memory, 2 verification
 mismatch, 3 I/O failure.
+
+Start-up imports only what the command runs.  The names the handlers call
+into the package (lex_lanes, oracle_lanes, lattice_terms, RENDERERS, ...)
+are cli globals, filled on first use: main fills a command's names after it
+parses argv, and a module __getattr__ fills one for a reader from outside.
+So patch or wrap them at cli.<name>; a patch made before the first use
+survives.  A handler called without main needs its names read first.
 """
 
 from __future__ import annotations
@@ -15,29 +22,61 @@ import argparse
 import functools
 import sys
 import time
-from fractions import Fraction
+from collections.abc import Callable, Iterator, Sequence
 from itertools import compress, count, islice, product, repeat
 from math import gcd
 from operator import mul, ne
-from pathlib import Path
-from typing import Callable, Iterator, Sequence
 
 from . import __version__
-# dynkin_substitute, expand_commutators, oracle_bch and reconstruct_term:
-# perfbench/tracing.py wraps them
-from .dynkin import _expand_lex, dynkin_substitute, expand_commutators
-from .freealgebra import oracle_bch, oracle_lanes
-from .output import (
-    CACHE_ENV_VAR,
-    RENDERERS,
-    OutputDocument,
-    cache_key,
-    cache_load,
-    cache_store,
-)
-from .series import Stages, lex_lanes, term_lanes
-from .signedeval import lattice_terms, reconstruct_term, scan_nonvanishing
-from .words import Alphabet, SeriesSpec, check_order
+
+# home module -> the names cli calls it by; dynkin_substitute,
+# expand_commutators, oracle_bch and reconstruct_term are here only for
+# perfbench/tracing.py
+_ROUTES = {
+    "words": ("Alphabet", "SeriesSpec", "check_order"),
+    "series": ("Stages", "lex_lanes", "term_lanes"),
+    "output": ("OutputDocument", "RENDERERS", "cache_key", "cache_load", "cache_store"),
+    "signedeval": ("lattice_terms", "reconstruct_term", "scan_nonvanishing"),
+    "freealgebra": ("oracle_bch", "oracle_lanes"),
+    "dynkin": ("_expand_lex", "dynkin_substitute", "expand_commutators"),
+}
+_HOMES = {name: module for module, names in _ROUTES.items() for name in names}
+# the modules each subcommand calls into
+_COMMAND_MODULES = {
+    "term": ("words", "series", "output"),
+    "verify": ("words", "series", "freealgebra", "signedeval", "dynkin"),
+    "scan": ("words", "signedeval"),
+    "bench": ("words", "series", "signedeval"),
+}
+# sorted(output.RENDERERS) and output.CACHE_ENV_VAR, for the parser, which
+# must not import output; tests pin both to output's
+FORMATS = ("json", "latex", "text")
+CACHE_ENV_VAR = "BCHKIT_CACHE_DIR"
+
+
+def _fill(module: str) -> None:
+    """Set each cli global that module serves, unless it is already set, so
+    a patch made before the first use survives."""
+    # __import__, as a relative import statement calls it: -X importtime does
+    # not see importlib.import_module
+    home = __import__(module, globals(), None, (), 1)
+    for name in _ROUTES[module]:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    # for readers from outside, such as tests and the tracer; a dunder or an
+    # unknown name imports nothing
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _fill(_HOMES[name])
+    return globals()[name]
+
+
+@functools.cache  # once per command: a later main call costs one cache lookup
+def _load_routes(command: str) -> None:
+    for module in _COMMAND_MODULES[command]:
+        _fill(module)
 
 
 class UsageError(Exception):
@@ -76,7 +115,7 @@ def _build_parser() -> _Parser:
                         "all factors or once per factor")
     p_term.add_argument("--dynkin", action="store_true",
                         help="also emit the commutator substitution")
-    p_term.add_argument("--format", choices=sorted(RENDERERS), default="text")
+    p_term.add_argument("--format", choices=FORMATS, default="text")
     p_term.add_argument("--out", metavar="PATH", help="write payload to a file")
     p_term.add_argument("--no-cache", action="store_true",
                         help=f"disable the result cache (dir override: ${CACHE_ENV_VAR})")
@@ -178,6 +217,7 @@ def cmd_term(args: argparse.Namespace) -> int:
     if args.stats:
         print(_stats_report(stages, cache, words), file=sys.stderr)
     if args.out:
+        from pathlib import Path  # only --out needs it: not imported on every run
         try:
             Path(args.out).write_text(rendered)
         except OSError as exc:
@@ -270,6 +310,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for n, ((den, a), (den_ref, b)) in enumerate(_verify_pairs(mode, limit, m), 1):
             try:  # a lane count or a lane: one FAIL line either way
                 if (k := _first_diff(den, a, den_ref, b)) is not None:  # only now a word and Fractions
+                    from fractions import Fraction
                     word = "".join(next(islice(product(Alphabet.default(m).letters, repeat=n), k, None)))
                     raise Mismatch(f"word {word}: pipeline {Fraction(a[k], den)}, "
                                    f"reference {Fraction(b[k], den_ref)}")
@@ -364,6 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _load_routes(args.command)
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

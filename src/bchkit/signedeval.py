@@ -68,8 +68,7 @@ def _reversal(n: int) -> list[int]:
 
 def eval_assignment(n: int, signs: Sequence[int]) -> Fraction:
     """Exact value of the (1, n+1) log entry at one +-1 assignment (one-lane walk)."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    check_order(n, 2)
     signs = tuple(signs)
     if len(signs) != n:
         raise ValueError(f"expected {n} signs, got {len(signs)}")

@@ -897,6 +897,11 @@ class TestParsing:
         assert exc.value.code == 0
         assert "bchkit" in capsys.readouterr().out
 
+    def test_parser_constants_match_output(self):
+        # the parser takes them from cli so that it need not import output
+        assert cli.FORMATS == tuple(sorted(output.RENDERERS))
+        assert cli.CACHE_ENV_VAR == output.CACHE_ENV_VAR
+
     def test_no_flag_carries_over_between_calls(self, capsys):
         """main reuses one parser per process; each call starts from the defaults."""
         code, out, _ = run(capsys, "term", "3", "--dynkin", "--format", "json")

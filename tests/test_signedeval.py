@@ -252,8 +252,10 @@ class TestRefusals:
             lambda: lattice_terms(23),
             lambda: build_table(23),
             lambda: scan_nonvanishing(10**9),
+            lambda: eval_assignment(23, [1] * 23),
+            lambda: eval_assignment(400, [1] * 400),  # a walk of seconds before the guard
         ],
-        ids=["scan", "lattice_terms", "build_table", "scan-huge"],
+        ids=["scan", "lattice_terms", "build_table", "scan-huge", "eval_assignment", "eval_assignment-400"],
     )
     def test_oversized_order(self, call):
         with pytest.raises(ValueError, match=f"over the limit of {MAX_WORDS}"):
