@@ -15,6 +15,7 @@ so ``python -m bchkit`` loads only the modules its command runs.
 """
 
 __version__ = "0.1.0"
+CACHE_ENV_VAR = "BCHKIT_CACHE_DIR"  # the cache directory override, read by cli and output
 
 # home module -> the public names it defines
 _EXPORTS = {

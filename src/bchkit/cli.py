@@ -27,7 +27,7 @@ from itertools import compress, count, islice, product, repeat
 from math import gcd
 from operator import mul, ne
 
-from . import __version__
+from . import CACHE_ENV_VAR, __version__
 
 # home module -> the names cli calls it by; dynkin_substitute,
 # expand_commutators, oracle_bch and reconstruct_term are here only for
@@ -48,10 +48,9 @@ _COMMAND_MODULES = {
     "scan": ("words", "signedeval"),
     "bench": ("words", "series", "signedeval"),
 }
-# sorted(output.RENDERERS) and output.CACHE_ENV_VAR, for the parser, which
-# must not import output; tests pin both to output's
+# sorted(output.RENDERERS), for the parser, which must not import output; a
+# test pins it to output's
 FORMATS = ("json", "latex", "text")
-CACHE_ENV_VAR = "BCHKIT_CACHE_DIR"
 
 
 def _fill(module: str) -> None:

@@ -26,7 +26,7 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import __version__
+from . import CACHE_ENV_VAR, __version__
 from .dynkin import left_normed
 from .words import Alphabet
 
@@ -164,9 +164,6 @@ def render_latex(doc: OutputDocument) -> str:
 
 
 RENDERERS = {"text": render_text, "json": OutputDocument.to_json_text, "latex": render_latex}
-
-
-CACHE_ENV_VAR = "BCHKIT_CACHE_DIR"
 
 
 def cache_dir() -> Path:

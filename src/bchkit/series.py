@@ -11,27 +11,25 @@ one lane per word over positions k+1..n (Kronecker substitution): position
 p's digit weighs m^(n-p), so a family-f run over positions k+1..j shifts a
 lane by f (m^(n-j) + ... + m^(n-k-1)) lanes.  In u[0] position 1 is the
 most significant digit, so lane i is the i-th word in graded-lex order:
-the unpack needs no digit-reversal index, and ``lex_lanes`` hands out each
-word's integer numerator in the order the output prints them, with no word
-tuples and no sort.  The term memo holds only those ints, per order and
-series, and each call decodes a fresh ``NCSeries`` from them, so no caller
-can edit another's term.  The matrix route of ``trimatrix``, the reference
-the tests compare against, is imported here only for the tracer.
+the decoder both kernels share, ``words.unpack_lanes``, needs no
+digit-reversal index, and ``lex_lanes`` hands out each word's integer
+numerator in the order the output prints them, with no word tuples and no
+sort.  The term memo holds only those ints, per order and series, and
+each call decodes a fresh ``NCSeries`` from them, so no caller can edit
+another's term.  The matrix route of ``trimatrix``, the reference the
+tests compare against, is imported here only for the tracer.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import cache
-from itertools import repeat
 from math import lcm
-from operator import add, lshift, sub
 from time import perf_counter
 from typing import Sequence
 
 # perfbench/tracing.py wraps the matrix route's names in this module
 from .trimatrix import build_factor_matrix, log_upper_right, mat_mul, t_operator
-from .words import Alphabet, NCSeries, SeriesSpec, check_order
+from .words import Alphabet, NCSeries, SeriesSpec, check_order, unpack_lanes
 
 # the packed entry holds m**n lanes of W bits: twice exp's 2**22 * 128 at n = 22
 MAX_BITS = 1 << 30
@@ -94,34 +92,6 @@ def packed_log_entry(n: int, steps: Sequence[Sequence[Sequence[int]]], width: in
     return sum((-1) ** (q + 1) * (top // q) * u for q, u in enumerate(powers, 1))
 
 
-def unpack_lanes(packed: int, width: int, n: int, m: int) -> list[int]:
-    """Every lane of ``packed``, as a signed integer; lane k is the k-th
-    word w_1 ... w_n in graded-lex order.
-
-    Adding 2^(width-1) to each lane makes it a nonnegative ``width``-bit
-    digit, so one ``to_bytes`` call splits them, and padded to whole 64-bit
-    chunks ``memoryview.cast`` reads them at C speed.  A top lane that does
-    not fit raises OverflowError; the others rely on ``lane_width``.
-    """
-    size, lanes, half = width // 8, m**n, 1 << (width - 1)
-    # repeated bytes: a sum of half << width*i would be quadratic
-    offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
-    data = (packed + offset).to_bytes(size * lanes, "little")
-    wide = -(-size // 8)  # 64-bit chunks per lane
-    if size % 8 or sys.byteorder == "big":
-        # byte b of a lane is byte b % 8 of its chunk b // 8 in host order
-        flip = 0 if sys.byteorder == "little" else 7
-        buf = bytearray(8 * wide * lanes)
-        for b in range(size):
-            buf[b ^ flip :: 8 * wide] = data[b::size]
-        data = buf  # frees the unpadded bytes before the lanes list grows
-    chunks = memoryview(data).cast("Q")
-    nums = chunks[::wide]
-    for c in range(1, wide):
-        nums = map(add, nums, map(lshift, chunks[c::wide], repeat(64 * c)))
-    return list(map(sub, nums, repeat(half)))
-
-
 class Stages:
     """Seconds per stage of one run, each timed from the end of the one
     before, and the kernel's lane width once it is known."""
@@ -157,7 +127,7 @@ def lex_lanes(n: int, f_list: Sequence[SeriesSpec], stages: Stages | None = None
         )
     packed = packed_log_entry(n, steps, width)
     stages.lap("recurrence")
-    nums = unpack_lanes(packed, width, n, m)
+    nums = unpack_lanes(packed, width, m**n)
     stages.lap("unpack")
     return den, nums
 

@@ -30,23 +30,24 @@ through the same map.  The top order splits into subtrees of at most
 2**12 lanes, run here or on one pool of processes per call, each filling
 one strided slice of its order's list; a prefix shorter than the
 subtrees' depth comes only from the subtree rooted at it.  Each order
-comes back as integer numerators over L_d d!, with no Fraction.
+comes back as integer numerators over L_d d!, with no Fraction, read by
+the packed-lane decoder ``words.unpack_lanes`` that the symbolic kernel
+uses too; the lattice keeps its own recurrence and its own lane width.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice, repeat
 from math import comb, factorial, lcm
-from operator import add, countOf, lshift, mul, sub
+from operator import add, countOf, mul, sub
 from typing import Iterable, Sequence
 
-# words alone, the input guard among them: _walk shares no kernel code
-from .words import Alphabet, NCSeries, check_order
+# words alone, the input guard and the lane decoder among them: _walk shares no kernel code
+from .words import Alphabet, NCSeries, check_order, unpack_lanes
 
 SignAssignment = tuple[int, ...]
 OrderLanes = tuple[int, int, int, list[int]]  # (order, denominator, first P-lane, numerators)
@@ -116,28 +117,6 @@ def _lane_width(n: int) -> int:
     return (-(-bound // one)).bit_length() + 8 >> 3 << 3
 
 
-def _unpack(data: bytes, size: int, half: int) -> list[int]:
-    """The ``size``-byte little-endian lanes of ``data``, each less ``half``.
-
-    Padded to whole 64-bit chunks, one strided slice copy per byte (none
-    when lanes fill whole chunks on a little-endian host), they are read by
-    ``memoryview.cast`` at C speed; chunks above the first are shifted in.
-    """
-    wide, lanes = -(-size // 8), len(data) // size  # 64-bit chunks per lane
-    if size % 8 or sys.byteorder == "big":
-        # byte b of a lane is byte b % 8 of its chunk b // 8 in host order
-        flip = 0 if sys.byteorder == "little" else 7
-        buf = bytearray(8 * wide * lanes)
-        for b in range(size):
-            buf[b ^ flip :: 8 * wide] = data[b::size]
-        data = buf
-    chunks = memoryview(data).cast("Q")
-    nums = chunks[::wide]
-    for c in range(1, wide):
-        nums = map(add, nums, map(lshift, chunks[c::wide], repeat(64 * c)))
-    return list(map(sub, nums, repeat(half)))
-
-
 def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[OrderLanes]:
     """(d, L d!, start, numerators) of one subtree for each order d in low..n
     (low defaults to n): its values in P-order, lane i at P-lane
@@ -161,14 +140,13 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[OrderLa
     lane may run over its W bits on the way: only the leaves must fit.  The
     order-d product is the leading block of the order-n one, so level d
     yields the order-d values sum_q (-1)**(q+1) (L/q) u_q[d] / (L d!),
-    L = lcm(1..d), unpacked to ints by ``_unpack``.  A prefix shorter than
-    ``depth`` lies in several subtrees; only the one rooted at it
-    (root >> d == 0) emits it.
+    L = lcm(1..d), decoded to ints by ``words.unpack_lanes``.  A prefix
+    shorter than ``depth`` lies in several subtrees; only the one rooted at
+    it (root >> d == 0) emits it.
     """
-    # its own first-row log and unpack, apart from the symbolic kernel: a shared bug would pass verify
+    # its own first-row log and width, apart from the symbolic kernel: a shared bug would pass verify
     low = n if low is None else low
     width = _lane_width(n)
-    size, half = width // 8, 1 << width - 1
     froot = sum(((root & (2 << t) - 1).bit_count() & 1) << t for t in range(depth))  # P bits
     # u[q][j] and a[q][j]: entry j of u_q and a_q, in full on level j's lanes
     u = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
@@ -199,9 +177,7 @@ def _walk(n: int, root: int, depth: int, low: int | None = None) -> list[OrderLa
             continue
         big, lanes = lcm(*range(1, d + 1)), 1 << max(d - depth, 0)
         value = sum((-1) ** (q + 1) * (big // q) * u[q][d] for q in range(1, d + 1))
-        offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")  # half in each lane
-        data = (value + offset).to_bytes(size * lanes, "little")
-        out.append((d, big * factorial(d), froot & ((1 << d) - 1), _unpack(data, size, half)))
+        out.append((d, big * factorial(d), froot & ((1 << d) - 1), unpack_lanes(value, width, lanes)))
     return out
 
 

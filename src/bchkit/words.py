@@ -1,15 +1,18 @@
 """What every route shares: alphabets, words, factor series (``SeriesSpec``),
-the input guard ``check_order`` and word-basis series (``NCSeries``, on
-``multilinear.ExactCombination``).  The reference routes import nothing
-else of the package, so they share no kernel."""
+the input guard ``check_order``, the packed-lane decoder ``unpack_lanes``
+and word-basis series (``NCSeries``, on ``multilinear.ExactCombination``).
+The reference routes import nothing else of the package, so they share no
+kernel."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, product
+from itertools import compress, product, repeat
 from math import factorial
+from operator import add, lshift, sub
 from typing import Iterable, Mapping, Sequence
 
 from .multilinear import ExactCombination, Rational
@@ -81,6 +84,38 @@ def check_order(n: int, m: int = 2) -> None:
     # that first keeps the check itself from building a huge power
     if n >= MAX_WORDS.bit_length() or m**n > MAX_WORDS:
         raise ValueError(f"order {n} needs up to {m}^{n} words, over the limit of {MAX_WORDS}")
+
+
+def unpack_lanes(packed: int, width: int, lanes: int) -> list[int]:
+    """The ``lanes`` lanes of ``packed``, lane 0 lowest, as signed integers:
+    the one decoder of both kernels' packed ints.
+
+    ``width`` is a whole number of bytes and includes a sign bit.  Adding
+    2^(width-1) to each lane makes it a nonnegative ``width``-bit digit, so
+    one ``to_bytes`` call splits them, and padded to whole 64-bit chunks
+    ``memoryview.cast`` reads them at C speed.  A top lane past its width
+    raises OverflowError; every other lane relies on the caller's width
+    proof.  A fault here that acts alike on every lane, such as negating
+    each, passes verify's signed and dynkin modes, which both read lanes
+    decoded here, and only the oracle, which packs no lanes, sees it.
+    """
+    size, half = width // 8, 1 << (width - 1)
+    # repeated bytes: a sum of half << width*i would be quadratic
+    offset = int.from_bytes(half.to_bytes(size, "little") * lanes, "little")
+    data = (packed + offset).to_bytes(size * lanes, "little")
+    wide = -(-size // 8)  # 64-bit chunks per lane
+    if size % 8 or sys.byteorder == "big":
+        # byte b of a lane is byte b % 8 of its chunk b // 8 in host order
+        flip = 0 if sys.byteorder == "little" else 7
+        buf = bytearray(8 * wide * lanes)
+        for b in range(size):
+            buf[b ^ flip :: 8 * wide] = data[b::size]
+        data = buf  # frees the unpadded bytes before the lanes list grows
+    chunks = memoryview(data).cast("Q")
+    nums = chunks[::wide]
+    for c in range(1, wide):
+        nums = map(add, nums, map(lshift, chunks[c::wide], repeat(64 * c)))
+    return list(map(sub, nums, repeat(half)))
 
 
 @dataclass(frozen=True)

@@ -898,7 +898,8 @@ class TestParsing:
         assert "bchkit" in capsys.readouterr().out
 
     def test_parser_constants_match_output(self):
-        # the parser takes them from cli so that it need not import output
+        # the parser takes FORMATS from cli and CACHE_ENV_VAR from the package,
+        # so that it need not import output
         assert cli.FORMATS == tuple(sorted(output.RENDERERS))
         assert cli.CACHE_ENV_VAR == output.CACHE_ENV_VAR
 

@@ -45,9 +45,10 @@ def test_imports_are_relative_or_stdlib():
 
 
 @pytest.mark.parametrize("module", ["signedeval", "freealgebra", "dynkin"])
-def test_independent_routes_share_only_the_input_guard(module):
+def test_independent_routes_import_only_words(module):
     # verify's reference routes: a kernel shared with series would pass its own
-    # bugs, so of the package they import only words, the input guard's home
+    # bugs, so of the package they import only words, the home of the input
+    # guard and the lane decoder; they share those two and no kernel
     path = PACKAGE_DIR / f"{module}.py"
     imported = {
         node.module
@@ -55,6 +56,13 @@ def test_independent_routes_share_only_the_input_guard(module):
         if isinstance(node, ast.ImportFrom) and node.level == 1
     }
     assert imported == {"words"}
+
+
+def test_both_kernels_share_one_lane_decoder():
+    from bchkit import series, signedeval, words
+
+    assert series.unpack_lanes is words.unpack_lanes is signedeval.unpack_lanes
+    assert not hasattr(signedeval, "_unpack")
 
 
 def test_every_tracer_target_resolves_to_a_callable():

@@ -19,7 +19,7 @@ from bchkit.series import (
     term_lanes,
 )
 from bchkit.trimatrix import SeriesSpec, build_factor_matrix, log_upper_right, mat_mul
-from bchkit.words import MAX_WORDS, Alphabet, NCSeries
+from bchkit.words import MAX_WORDS, Alphabet, NCSeries, unpack_lanes
 from helpers import prime_series
 
 A2 = Alphabet.default(2)
@@ -413,10 +413,10 @@ class TestUnpackLanes:
         half = 1 << (width - 1)
         lanes = [rng.randrange(-half, half) for _ in range(m**3)]
         lanes[0], lanes[1], lanes[-1] = -half, half - 1, rng.choice((-half, half - 1))
-        assert series_module.unpack_lanes(pack(lanes, width), width, 3, m) == lanes
+        assert unpack_lanes(pack(lanes, width), width, m**3) == lanes
 
     @pytest.mark.parametrize("width", range(8, 201, 8))
     def test_top_lane_past_its_width_overflows(self, width):
         lanes = [0] * 7 + [1 << (width - 1)]
         with pytest.raises(OverflowError):
-            series_module.unpack_lanes(pack(lanes, width), width, 3, 2)
+            unpack_lanes(pack(lanes, width), width, 8)

@@ -12,7 +12,7 @@ from math import factorial, lcm
 
 import pytest
 
-from bchkit import signedeval
+from bchkit import series, signedeval, words
 from bchkit.cli import main
 from bchkit.series import bch_term, term_lanes
 from bchkit.signedeval import (
@@ -184,6 +184,47 @@ class TestKernel:
         code, peak_kb = map(int, out.stdout.split())
         assert code == 0
         assert peak_kb < 120 * 1024
+
+
+class TestSharedDecoder:
+    """Both kernels decode through words.unpack_lanes, so a fault there reaches
+    the pipeline and the lattice alike; the routes that pack no lanes must
+    still catch it."""
+
+    @pytest.fixture
+    def decoder_fault(self, monkeypatch):
+        def install(fault):
+            def faulty(packed, width, lanes):
+                return fault(words.unpack_lanes(packed, width, lanes))
+
+            monkeypatch.setattr(series, "unpack_lanes", faulty)
+            monkeypatch.setattr(signedeval, "unpack_lanes", faulty)
+
+        series.clear_term_cache()  # no memoized term may skip the faulty decoder
+        yield install
+        series.clear_term_cache()  # nor outlive it
+
+    def test_negating_every_lane_is_caught_by_the_oracle_and_the_matrix(self, capsys, decoder_fault):
+        # the negation commutes with the Walsh-Hadamard transform and the
+        # Dynkin expansion, so the signed and dynkin modes cannot see it: the
+        # blind spot unpack_lanes' docstring names
+        decoder_fault(lambda nums: [-c for c in nums])
+        assert [main(["verify", "8", "--modes", mode]) for mode in ("oracle", "signed", "dynkin")] == [2, 0, 0]
+        exp = SeriesSpec.exponential(5)
+        value = log_upper_right(mat_mul(build_factor_matrix(5, 0, exp), build_factor_matrix(5, 1, exp))).eval_signs
+        table = build_table(5)
+        assert any(table.values[mask] != value(_mask_signs(5, mask)) for mask in range(1 << 5))
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["oracle", "signed", "dynkin"])
+    def test_raising_lane_zero_is_caught_by_every_mode(self, capsys, decoder_fault, mode):
+        def raised(nums):
+            nums[0] += 1
+            return nums
+
+        decoder_fault(raised)
+        assert main(["verify", "8", "--modes", mode]) == 2
+        capsys.readouterr()
 
 
 def norm_bounds(n):
