@@ -19,8 +19,8 @@ CACHE_ENV_VAR = "BCHKIT_CACHE_DIR"  # the cache directory override, read by cli 
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "multilinear": ("MultilinearPoly", "Rational", "SupportOverlapError"),
-    "words": ("Alphabet", "NCSeries", "SeriesSpec", "Word"),
+    "multilinear": ("MultilinearPoly", "SupportOverlapError"),
+    "words": ("Alphabet", "NCSeries", "Rational", "SeriesSpec", "Word"),
     "trimatrix": (
         "TriMatrix", "build_factor_matrix", "log_upper_right", "mat_mul", "t_operator", "word_matrix_product",
     ),

@@ -10,10 +10,10 @@ mismatch, 3 I/O failure.
 
 Start-up imports only what the command runs.  The names the handlers call
 into the package (lex_lanes, oracle_lanes, lattice_terms, RENDERERS, ...)
-are cli globals, filled on first use: main fills a command's names after it
-parses argv, and a module __getattr__ fills one for a reader from outside.
+are cli globals, filled on first use: each handler fills its own names as
+its first step, and a module __getattr__ fills one for a reader from outside.
 So patch or wrap them at cli.<name>; a patch made before the first use
-survives.  A handler called without main needs its names read first.
+survives.
 """
 
 from __future__ import annotations
@@ -41,26 +41,21 @@ _ROUTES = {
     "dynkin": ("_expand_lex", "dynkin_substitute", "expand_commutators"),
 }
 _HOMES = {name: module for module, names in _ROUTES.items() for name in names}
-# the modules each subcommand calls into
-_COMMAND_MODULES = {
-    "term": ("words", "series", "output"),
-    "verify": ("words", "series", "freealgebra", "signedeval", "dynkin"),
-    "scan": ("words", "signedeval"),
-    "bench": ("words", "series", "signedeval"),
-}
 # sorted(output.RENDERERS), for the parser, which must not import output; a
 # test pins it to output's
 FORMATS = ("json", "latex", "text")
 
 
-def _fill(module: str) -> None:
-    """Set each cli global that module serves, unless it is already set, so
-    a patch made before the first use survives."""
-    # __import__, as a relative import statement calls it: -X importtime does
-    # not see importlib.import_module
-    home = __import__(module, globals(), None, (), 1)
-    for name in _ROUTES[module]:
-        globals().setdefault(name, getattr(home, name))
+@functools.cache  # once per module list: a later call costs one cache lookup
+def _fill(*modules: str) -> None:
+    """Set each cli global that the modules serve, unless it is already set,
+    so a patch made before the first use survives."""
+    for module in modules:
+        # __import__, as a relative import statement calls it: -X importtime
+        # does not see importlib.import_module
+        home = __import__(module, globals(), None, (), 1)
+        for name in _ROUTES[module]:
+            globals().setdefault(name, getattr(home, name))
 
 
 def __getattr__(name: str):
@@ -70,12 +65,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _fill(_HOMES[name])
     return globals()[name]
-
-
-@functools.cache  # once per command: a later main call costs one cache lookup
-def _load_routes(command: str) -> None:
-    for module in _COMMAND_MODULES[command]:
-        _fill(module)
 
 
 class UsageError(Exception):
@@ -162,20 +151,12 @@ def _parse_letters(raw: str | None, m: int, fmt: str, dynkin: bool) -> Alphabet:
     return alphabet
 
 
-MAX_EXPONENT = 4300  # Python's int-string limit, which the series fingerprint hits anyway
-
-
 def _parse_one_series(raw: str, n: int) -> tuple[str, SeriesSpec]:
     text = raw.strip()
     if text == "exp":
         return "exp", SeriesSpec.exponential(n)
-    coeffs = [part.strip() for part in text.split(",")]
     try:
-        for coeff in coeffs:  # Fraction builds 10**exponent before anything checks it
-            exponent = coeff.lower().partition("e")[2]
-            if exponent.lstrip("+-").replace("_", "").isdigit() and abs(int(exponent)) > MAX_EXPONENT:
-                raise ValueError(f"exponent {exponent} is over {MAX_EXPONENT} in magnitude")
-        spec = SeriesSpec.from_coeffs(coeffs)
+        spec = SeriesSpec.from_coeffs(part.strip() for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad series {raw!r}: {exc}")
     return spec.fingerprint(), spec
@@ -193,6 +174,7 @@ def _parse_series(raw_list: Sequence[str] | None, m: int, n: int) -> tuple[list[
 
 
 def cmd_term(args: argparse.Namespace) -> int:
+    _fill("words", "series", "output")
     check_order(args.n, args.factors)
     alphabet = _parse_letters(args.letters, args.factors, args.format, args.dynkin)
     series_names, specs = _parse_series(args.series, args.factors, args.n)
@@ -283,6 +265,7 @@ def _verify_pairs(mode: str, limit: int, m: int) -> Iterator[tuple[Lanes, Lanes]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _fill("words", "series", "freealgebra", "signedeval", "dynkin")
     if args.n_max < 1:
         raise UsageError(f"order must be >= 1, got {args.n_max}")
     if args.modes is not None:
@@ -322,6 +305,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    _fill("words", "signedeval")
     check_order(args.n_max, 2)
     reports = scan_nonvanishing(args.n_max, workers=args.workers)
     bad = 0
@@ -369,6 +353,7 @@ def _median_seconds(fn: Callable[[], object], repeat: int) -> float:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _fill("words", "series", "signedeval")
     lo, hi = _parse_range(args.range)
     if args.repeat < 1:
         raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
@@ -404,7 +389,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _load_routes(args.command)
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,23 +1,24 @@
 """Dynkin substitution of word-basis terms into iterated commutators.
 
 Brackets are left-normed: the word a1 a2 ... an denotes [[...[a1, a2],
-a3] ..., an].  By Dynkin-Specht-Wever, a homogeneous degree-n z is a Lie
-element exactly when expanding (1/n) sum_w c_w [w] over its words returns
-z, so the round trip through ``dynkin_substitute`` and ``expand_commutators``
-catches any single wrong coefficient (for n >= 2 no lone word is Lie), but
-not an error that keeps z Lie.  No Lie simplification is performed.
+a3] ..., an], written by ``words.left_normed``.  By Dynkin-Specht-Wever, a
+homogeneous degree-n z is a Lie element exactly when expanding (1/n) sum_w
+c_w [w] over its words returns z, so the round trip through
+``dynkin_substitute`` and ``expand_commutators`` catches any single wrong
+coefficient (for n >= 2 no lone word is Lie), but not an error that keeps
+z Lie.  No Lie simplification is performed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul, sub
-from typing import Sequence
 
-from .words import Alphabet, NCSeries, Word, check_order
+from .words import Alphabet, NCSeries, Word, check_order, left_normed
 
 
 @dataclass(frozen=True)
@@ -31,14 +32,6 @@ class LieTerm:
 
     def bracket_str(self, alphabet: Alphabet) -> str:
         return left_normed([alphabet.letters[i] for i in self.word])
-
-
-def left_normed(letters: Sequence[str]) -> str:
-    """The bracket [[...[l_1,l_2],l_3]...,l_n] of a word's letters (a word
-    string will do), written in one pass: l_1 alone for one letter."""
-    if len(letters) == 1:
-        return letters[0]
-    return "[" * (len(letters) - 1) + letters[0] + "," + "],".join(letters[1:]) + "]"
 
 
 def dynkin_substitute(z: NCSeries) -> list[LieTerm]:

@@ -1,4 +1,6 @@
-"""Exact multilinear polynomials over position-indexed commuting variables.
+"""The matrix route's polynomial type: exact multilinear polynomials over
+position-indexed commuting variables, on the value base
+``words.ExactCombination``.
 
 The coefficient field is the arbitrary-precision rationals
 (``fractions.Fraction``); nothing in this package ever rounds.
@@ -10,17 +12,14 @@ literally an n-bit bitset; each further family appends another n-bit block.
 Exponents above one are unrepresentable, so multilinearity holds by
 construction.  Positions are shared across families: a legal monomial
 carries at most one variable, of whatever family, per position.
-``MultilinearPoly`` and ``words.NCSeries`` share the base ``ExactCombination``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
-ZERO = Fraction(0)
+from .words import ZERO, ExactCombination, Rational
 
 _FAMILY_NAMES = "stuv"
 
@@ -90,70 +89,6 @@ def mono_str(n: int, mono: int) -> str:
             name = _FAMILY_NAMES[family - 1] if family <= 4 else f"v{family}"
             parts.append(f"{name}{pos}")
     return "*".join(parts)
-
-
-class ExactCombination:
-    """A finite, zero-free map key -> rational, the value type behind
-    ``MultilinearPoly`` (monomial keys) and ``words.NCSeries`` (word keys).
-    Operations return a fresh value of the same subclass and shape.  A
-    subclass supplies ``_shape()`` (its constructor arguments bar the terms),
-    ``_compatible``, ``_key_str`` and ``items_sorted``; the falsy key (0 or
-    ``()``) is the constant term.
-    """
-
-    __slots__ = ("terms",)
-
-    def _with_terms(self, terms: dict):
-        result = type(self)(*self._shape())
-        result.terms = terms
-        return result
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, ZERO) + c
-        return self._with_terms({key: c for key, c in out.items() if c})
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self._with_terms({k: -c for k, c in self.terms.items()})
-
-    def scaled(self, factor: Rational | int):
-        f = Fraction(factor)
-        return self._with_terms({k: c * f for k, c in self.terms.items()} if f else {})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in self.items_sorted():
-            mag = abs(coeff)
-            if not key:
-                body = str(mag)
-            elif mag == 1:
-                body = self._key_str(key)
-            else:
-                body = f"{mag}*{self._key_str(key)}"
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
 
 
 class MultilinearPoly(ExactCombination):

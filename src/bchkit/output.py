@@ -3,12 +3,12 @@
 A document stores coefficients as separate numerator and denominator
 strings so arbitrary-precision values survive any JSON consumer, and the
 payload keeps the canonical graded-lexicographic order.  Its word rows and
-its commutator-bracket rows both come straight from the term's integer
-lanes, one denominator and a numerator per word.  The cache holds
-rendered payloads, not documents: the key hashes everything the payload is
-a function of, its format included, and an entry is the payload's bytes
-under a one-line header that names the key and the payload's sha256.  A
-hit writes those bytes back without parsing them.
+its commutator-bracket rows (written by ``words.left_normed``) both come
+straight from the term's integer lanes, one denominator and a numerator
+per word.  The cache holds rendered payloads, not documents: the key hashes
+everything the payload is a function of, its format included, and an entry
+is the payload's bytes under a one-line header that names the key and the
+payload's sha256.  A hit writes those bytes back without parsing them.
 """
 
 from __future__ import annotations
@@ -19,16 +19,15 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from . import CACHE_ENV_VAR, __version__
-from .dynkin import left_normed
-from .words import Alphabet
+from .words import Alphabet, left_normed
 
 TOOL_NAME = "bchkit"
 

@@ -22,10 +22,10 @@ tests compare against, is imported here only for the tracer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 from math import lcm
 from time import perf_counter
-from typing import Sequence
 
 # perfbench/tracing.py wraps the matrix route's names in this module
 from .trimatrix import build_factor_matrix, log_upper_right, mat_mul, t_operator

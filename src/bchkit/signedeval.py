@@ -38,13 +38,13 @@ uses too; the lattice keeps its own recurrence and its own lane width.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice, repeat
 from math import comb, factorial, lcm
 from operator import add, countOf, mul, sub
-from typing import Iterable, Sequence
 
 # words alone, the input guard and the lane decoder among them: _walk shares no kernel code
 from .words import Alphabet, NCSeries, check_order, unpack_lanes

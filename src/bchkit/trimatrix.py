@@ -18,8 +18,8 @@ checks the word-to-matrix identity directly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .multilinear import MultilinearPoly, mono_digits
 from .words import Alphabet, NCSeries, SeriesSpec

@@ -1,27 +1,31 @@
-"""What every route shares: alphabets, words, factor series (``SeriesSpec``),
-the input guard ``check_order``, the packed-lane decoder ``unpack_lanes``
-and word-basis series (``NCSeries``, on ``multilinear.ExactCombination``).
-The reference routes import nothing else of the package, so they share no
-kernel."""
+"""What every route shares: the exact value base ``ExactCombination`` over
+``Rational``, alphabets, words, the bracket writer ``left_normed``, factor
+series (``SeriesSpec``), the input guard ``check_order``, the packed-lane
+decoder ``unpack_lanes`` and word-basis series (``NCSeries``).  This module
+imports nothing of the package, and the reference routes import nothing else
+of it, so they share no kernel."""
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, product, repeat
 from math import factorial
 from operator import add, lshift, sub
-from typing import Iterable, Mapping, Sequence
 
-from .multilinear import ExactCombination, Rational
+Rational = Fraction
+
+ZERO = Fraction(0)
 
 # A word is a tuple of letter indices into an Alphabet.
 Word = tuple[int, ...]
 
 # z_n over m letters has up to m**n words, one lane each
 MAX_WORDS = 1 << 22
+MAX_EXPONENT = 4300  # Python's int-string limit, which the series fingerprint hits anyway
 
 _DEFAULT_HEAD = ("x", "y", "w")
 _DEFAULT_TAIL = "abcdefghijklmnopqrstuv"
@@ -70,6 +74,14 @@ class Alphabet:
             return tuple(index[ch] for ch in text)
         except KeyError as exc:
             raise ValueError(f"letter {exc.args[0]!r} not in alphabet {self.letters}")
+
+
+def left_normed(letters: Sequence[str]) -> str:
+    """The bracket [[...[l_1,l_2],l_3]...,l_n] of a word's letters (a word
+    string will do), written in one pass: l_1 alone for one letter."""
+    if len(letters) == 1:
+        return letters[0]
+    return "[" * (len(letters) - 1) + letters[0] + "," + "],".join(letters[1:]) + "]"
 
 
 def check_order(n: int, m: int = 2) -> None:
@@ -144,7 +156,14 @@ class SeriesSpec:
 
     @classmethod
     def from_coeffs(cls, values: Iterable[Rational | int | str]) -> "SeriesSpec":
-        return cls(tuple(Fraction(v) for v in values))
+        """A text value's exponent over MAX_EXPONENT in magnitude raises
+        ValueError: Fraction builds 10**exponent before anything checks it."""
+        values = list(values)
+        for v in values:  # all first: a malformed value must not mask a refusal
+            exponent = v.strip().lower().partition("e")[2] if isinstance(v, str) else ""
+            if exponent.lstrip("+-").replace("_", "").isdigit() and abs(int(exponent)) > MAX_EXPONENT:
+                raise ValueError(f"exponent {exponent} is over {MAX_EXPONENT} in magnitude")
+        return cls(tuple(map(Fraction, values)))
 
     @classmethod
     @cache
@@ -165,6 +184,70 @@ class SeriesSpec:
 
     def __str__(self) -> str:
         return self.fingerprint()
+
+
+class ExactCombination:
+    """A finite, zero-free map key -> rational, the value type behind
+    ``multilinear.MultilinearPoly`` (monomial keys) and ``NCSeries`` (word keys).
+    Operations return a fresh value of the same subclass and shape.  A
+    subclass supplies ``_shape()`` (its constructor arguments bar the terms),
+    ``_compatible``, ``_key_str`` and ``items_sorted``; the falsy key (0 or
+    ``()``) is the constant term.
+    """
+
+    __slots__ = ("terms",)
+
+    def _with_terms(self, terms: dict):
+        result = type(self)(*self._shape())
+        result.terms = terms
+        return result
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._compatible(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, ZERO) + c
+        return self._with_terms({key: c for key, c in out.items() if c})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with_terms({k: -c for k, c in self.terms.items()})
+
+    def scaled(self, factor: Rational | int):
+        f = Fraction(factor)
+        return self._with_terms({k: c * f for k, c in self.terms.items()} if f else {})
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, coeff in self.items_sorted():
+            mag = abs(coeff)
+            if not key:
+                body = str(mag)
+            elif mag == 1:
+                body = self._key_str(key)
+            else:
+                body = f"{mag}*{self._key_str(key)}"
+            if not parts:
+                parts.append(body if coeff > 0 else "-" + body)
+            else:
+                parts.append(("+ " if coeff > 0 else "- ") + body)
+        return " ".join(parts)
 
 
 class NCSeries(ExactCombination):

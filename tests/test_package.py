@@ -44,18 +44,29 @@ def test_imports_are_relative_or_stdlib():
     assert not outside
 
 
+def _package_imports(module):
+    """The package modules that module imports by a relative from-import."""
+    path = PACKAGE_DIR / f"{module}.py"
+    return {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
 @pytest.mark.parametrize("module", ["signedeval", "freealgebra", "dynkin"])
 def test_independent_routes_import_only_words(module):
     # verify's reference routes: a kernel shared with series would pass its own
     # bugs, so of the package they import only words, the home of the input
     # guard and the lane decoder; they share those two and no kernel
-    path = PACKAGE_DIR / f"{module}.py"
-    imported = {
-        node.module
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-    }
-    assert imported == {"words"}
+    assert _package_imports(module) == {"words"}
+
+
+def test_words_is_the_bottom_layer_and_output_imports_only_words():
+    # the shared vocabulary depends on no route, and the renderer reaches no
+    # reference route for its bracket text
+    assert _package_imports("words") == set()
+    assert _package_imports("output") == {"words"}
 
 
 def test_both_kernels_share_one_lane_decoder():
@@ -128,7 +139,8 @@ def test_scan_imports_no_symbolic_route():
     code, out, _, loaded = _run("scan", "6")
     assert (code, out.splitlines()[-1]) == (0, "no unexpected vanishings")
     assert "bchkit.signedeval" in loaded
-    assert not loaded & {f"bchkit.{m}" for m in ("series", "output", "freealgebra", "dynkin", "trimatrix")}
+    assert not loaded & {f"bchkit.{m}" for m in ("multilinear", "series", "output", "freealgebra", "dynkin", "trimatrix")}
+    assert "typing" not in loaded
 
 
 def test_term_imports_no_reference_route(tmp_path):
@@ -139,7 +151,20 @@ def test_term_imports_no_reference_route(tmp_path):
     assert (cold_code, hit_code) == (0, 0) and cold_out == hit_out
     for _, _, _, loaded in runs:
         assert "bchkit.output" in loaded
-        assert not loaded & {"bchkit.signedeval", "bchkit.freealgebra"}
+        assert not loaded & {"bchkit.signedeval", "bchkit.freealgebra", "bchkit.dynkin", "typing"}
+
+
+def test_a_handler_runs_without_main():
+    # each cmd_* fills the cli names it calls, in a process where nothing has
+    # filled them yet
+    probe = """
+from bchkit import cli
+args = cli._build_parser().parse_args(["scan", "4"])
+code = args.handler(args)
+print(code)
+"""
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=ENV, check=True)
+    assert out.stdout.splitlines()[-2:] == ["no unexpected vanishings", "0"]
 
 
 def test_all_is_unchanged():
@@ -157,6 +182,12 @@ def test_lazy_names_are_their_home_modules_objects():
     for name in bchkit.__all__[1:]:
         home = importlib.import_module(f"bchkit.{bchkit._HOMES[name]}")
         assert getattr(bchkit, name) is getattr(home, name), name
+    # names that moved into words still resolve at their old homes
+    from bchkit import dynkin, multilinear, words
+
+    assert multilinear.Rational is words.Rational
+    assert multilinear.ExactCombination is words.ExactCombination
+    assert dynkin.left_normed is words.left_normed
 
 
 def test_dir_and_star_import_cover_all():

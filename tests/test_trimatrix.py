@@ -88,6 +88,12 @@ class TestSeriesSpec:
         assert SeriesSpec.from_coeffs([1, 1, 0, 0]).fingerprint() == "1,1"
         assert SeriesSpec.from_coeffs([1, 0, Fraction(1, 2)]).fingerprint() == "1,0,1/2"
 
+    def test_huge_text_exponent_refused(self):
+        # Fraction would build 10**5000 first; the CLI's --series passes here too
+        with pytest.raises(ValueError, match="^exponent 5000 is over 4300 in magnitude$"):
+            SeriesSpec.from_coeffs(["1", "1e5000"])
+        assert SeriesSpec.from_coeffs(["1", " 1e-2 "]).fingerprint() == "1,1/100"
+
     def test_trailing_zeros_normalized(self):
         padded = SeriesSpec.from_coeffs([1, 1, 0, 0])
         short = SeriesSpec.from_coeffs([1, 1])
