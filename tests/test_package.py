@@ -28,8 +28,8 @@ def test_public_names_resolve():
     assert bchkit.TruncatedNCSeries is bchkit.NCSeries
 
 
-def test_imports_are_relative_or_stdlib():
-    outside = []
+def _absolute_imports():
+    """(file name, top-level module) for each absolute import in the package."""
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -39,19 +39,43 @@ def test_imports_are_relative_or_stdlib():
             else:
                 continue
             for module in modules:
-                if module.split(".")[0] not in sys.stdlib_module_names:
-                    outside.append(f"{path.name}: {module}")
-    assert not outside
+                yield path.name, module.split(".")[0]
+
+
+def test_imports_are_relative_or_stdlib():
+    assert not [f"{name}: {module}" for name, module in _absolute_imports() if module not in sys.stdlib_module_names]
+
+
+def test_no_module_imports_typing():
+    # collections.abc holds the abstract types. A static check: on some
+    # Python versions the interpreter's own runpy path loads typing before
+    # bchkit runs, so sys.modules cannot tell whose import it was
+    assert not [name for name, module in _absolute_imports() if module == "typing"]
+
+
+def _relative_imports(tree):
+    """The package modules a parsed module imports by a relative import: x
+    for `from .x import ...`, and each alias that names a module for `from .
+    import ...` (names of `__init__`, such as `__version__`, are left out)."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                imported.add(node.module)
+            else:
+                imported.update(a.name for a in node.names if (PACKAGE_DIR / f"{a.name}.py").exists())
+    return imported
 
 
 def _package_imports(module):
-    """The package modules that module imports by a relative from-import."""
     path = PACKAGE_DIR / f"{module}.py"
-    return {
-        node.module
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-    }
+    return _relative_imports(ast.parse(path.read_text(), str(path)))
+
+
+def test_a_module_imported_from_the_package_counts():
+    # a route that did `from . import series` would reach the kernel
+    tree = ast.parse("from . import series, __version__, CACHE_ENV_VAR\nfrom .words import Word")
+    assert _relative_imports(tree) == {"series", "words"}
 
 
 @pytest.mark.parametrize("module", ["signedeval", "freealgebra", "dynkin"])
@@ -140,7 +164,6 @@ def test_scan_imports_no_symbolic_route():
     assert (code, out.splitlines()[-1]) == (0, "no unexpected vanishings")
     assert "bchkit.signedeval" in loaded
     assert not loaded & {f"bchkit.{m}" for m in ("multilinear", "series", "output", "freealgebra", "dynkin", "trimatrix")}
-    assert "typing" not in loaded
 
 
 def test_term_imports_no_reference_route(tmp_path):
@@ -151,7 +174,7 @@ def test_term_imports_no_reference_route(tmp_path):
     assert (cold_code, hit_code) == (0, 0) and cold_out == hit_out
     for _, _, _, loaded in runs:
         assert "bchkit.output" in loaded
-        assert not loaded & {"bchkit.signedeval", "bchkit.freealgebra", "bchkit.dynkin", "typing"}
+        assert not loaded & {"bchkit.signedeval", "bchkit.freealgebra", "bchkit.dynkin"}
 
 
 def test_a_handler_runs_without_main():
