@@ -11,7 +11,8 @@ mismatch, 3 I/O failure.
 Start-up imports only what the command runs.  The names the handlers call
 into the package (lex_lanes, oracle_lanes, lattice_terms, RENDERERS, ...)
 are cli globals, filled on first use: each handler fills its own names as
-its first step, and a module __getattr__ fills one for a reader from outside.
+its first step (verify fills each mode's reference route as the mode runs),
+and a module __getattr__ fills one for a reader from outside.
 So patch or wrap them at cli.<name>; a patch made before the first use
 survives.
 """
@@ -252,20 +253,24 @@ def _verify_pairs(mode: str, limit: int, m: int) -> Iterator[tuple[Lanes, Lanes]
     """(pipeline, reference) lanes of orders 1..limit.  Each reference runs
     once, at limit: the oracle's log truncated there holds every lower order
     and hands each out as lanes, one lattice walk reads every lane of orders
-    1..limit, and Dynkin-Specht-Wever expands the pipeline's own numerators."""
+    1..limit, and Dynkin-Specht-Wever expands the pipeline's own numerators.
+    Each mode loads its reference route's module only."""
     orders = range(1, limit + 1)
     lanes = [term_lanes(n, m) for n in orders]
     if mode in ("oracle", "multi"):
+        _fill("freealgebra")
         references = oracle_lanes(limit, m, [SeriesSpec.exponential(limit)] * m)
     elif mode == "signed":
+        _fill("signedeval")
         references = lattice_terms(limit)
     else:
+        _fill("dynkin")
         references = ((den * n, _expand_lex(nums, m, n)) for n, (den, nums) in zip(orders, lanes))
     return zip(lanes, references)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _fill("words", "series", "freealgebra", "signedeval", "dynkin")
+    _fill("words", "series")  # and per mode, its reference route: see _verify_pairs
     if args.n_max < 1:
         raise UsageError(f"order must be >= 1, got {args.n_max}")
     if args.modes is not None:

@@ -3,21 +3,28 @@ products of arbitrary power series with f(0) = 1.
 
 z_n is the top-right entry of log(F_0 F_1 ... F_{m-1}) for the factor
 matrices of ``trimatrix``.  Only the last column of the log is needed, so
-no matrix is formed: u_q = F_0 ... F_{m-1} u_{q-1} - u_{q-1} from u_0 = e_n,
-F_{m-1} applied first, and z_n = sum_q (-1)^{q+1} u_q[0] / q.  Column j is
-scaled by an integer S_j and 1/q becomes L/q with L = lcm(1..n), so
-everything runs on integers.  Column entry u[k] is one Python int packing
-one lane per word over positions k+1..n (Kronecker substitution): position
-p's digit weighs m^(n-p), so a family-f run over positions k+1..j shifts a
-lane by f (m^(n-j) + ... + m^(n-k-1)) lanes.  In u[0] position 1 is the
-most significant digit, so lane i is the i-th word in graded-lex order:
-the decoder both kernels share, ``words.unpack_lanes``, needs no
-digit-reversal index, and ``lex_lanes`` hands out each word's integer
-numerator in the order the output prints them, with no word tuples and no
-sort.  The term memo holds only those ints, per order and series, and
-each call decodes a fresh ``NCSeries`` from them, so no caller can edit
-another's term.  The matrix route of ``trimatrix``, the reference the
-tests compare against, is imported here only for the tracer.
+no matrix is formed: with N = F_0 ... F_{m-1} - I, z_n is row 0 of
+sum_q (-1)^{q+1} N^q e_n / q, summed by Horner's rule from q = n down,
+h_q = (-1)^{q+1} e_n / q + N h_{q+1} with F_{m-1} applied first, and
+z_n = (N h_1)[0].  N is strictly upper triangular, so row 0 of N h_1
+reads rows >= 1 of h_1, which read rows >= 2 of h_2, and so on: step q
+forms rows q..n only, and the widest entry, row 0, once instead of once
+per power.  Column j is scaled by an integer S_j and 1/q becomes L/q with
+L = lcm(1..n), so everything runs on integers.  Column entry h[k] is one
+Python int packing one lane per word over positions k+1..n (Kronecker
+substitution): position p's digit weighs m^(n-p), so a family-f run over
+positions k+1..j shifts a lane by f (m^(n-j) + ... + m^(n-k-1)) lanes.
+In row 0 position 1 is the most significant digit, so lane i is the i-th
+word in graded-lex order: the decoder both kernels share,
+``words.unpack_lanes``, needs no digit-reversal index, and ``lex_lanes``
+hands out each word's integer numerator in the order the output prints
+them, with no word tuples and no sort.  The lane width W comes from the
+same kernel on |steps| and the weights L/q, a sum of nonnegative terms
+bounding every lane.  The term memo holds only those ints, per order and
+series, and each call decodes a fresh ``NCSeries`` from them, so no
+caller can edit another's term.  The matrix route of ``trimatrix``, the
+reference the tests compare against, is imported here only for the
+tracer.
 """
 
 from __future__ import annotations
@@ -50,46 +57,57 @@ def _scaled_steps(n: int, f_list: Sequence[SeriesSpec]) -> tuple[int, list[list[
     return lcm(*range(1, n + 1)) * s[n], steps
 
 
-def _column_powers(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int):
-    """Yield S_n u_q[0] for q = 1..n, ``width`` bits per lane; at width 0
-    each column entry holds the sum of its lanes."""
+def _log_column(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int, weights: Sequence[int]) -> int:
+    """Row 0 of sum_q weights[q-1] N^q e_n over q = 1..n, N = F_0 ... F_{m-1} - I
+    on the scaled steps, ``width`` bits per lane; at width 0 each column entry
+    holds the sum of its lanes.  By Horner, h_n = weights[n-1] e_n and
+    h_q = weights[q-1] e_n + N h_{q+1}, and the sum is (N h_1)[0].  N is
+    strictly upper triangular, so rows >= q of N h_{q+1} read only rows > q
+    of h_{q+1}: step q forms rows q..n, row k is formed k + 1 times, and the
+    widest, row 0, once."""
     m = len(steps)
-    u = [0] * n + [1]
-    for q in range(1, n + 1):
-        top = n - q + 1  # u_{q-1}, and every factor step of it, is zero past row top
-        w = u
-        for f, a in reversed([*enumerate(steps)]):
-            shift = [width * f * m ** (n - j) for j in range(n + 1)]
-            nxt = [0] * (n + 1)
-            for k in range(top + 1):
+    shifts = [[width * f * m ** (n - j) for j in range(n + 1)] for f in range(m)]
+    h = [0] * n + [weights[n - 1]]
+    for q in range(n - 1, -1, -1):
+        w = h.copy()  # each factor in place, F_{m-1} first: row k reads rows >= k only
+        for f in range(m - 1, -1, -1):
+            a, shift = steps[f], shifts[f]
+            for k in range(q, n + 1 if q or f else 1):  # of N h_1 only row 0 is read
                 # Horner over j: each partial sum moves on by f m^(n-j) lanes
                 total = 0
-                for j in range(top, k, -1):
+                for j in range(n, k, -1):
                     total = (total + w[j] * a[k][j]) << shift[j]
-                nxt[k] = total + w[k]  # a[k][k] = c_0 = 1
-            w = nxt
-        u = [x - y for x, y in zip(w, u)]
-        yield u[0]
+                w[k] += total  # a[k][k] = c_0 = 1
+        if q:  # the last step keeps row 0 alone, and h_1[0] = 0 needs no subtraction
+            for k in range(q + 1, n + 1):
+                w[k] -= h[k]
+            w[n] += weights[q - 1]
+        h = w
+    return h[0]
 
 
 def lane_width(n: int, steps: Sequence[Sequence[Sequence[int]]]) -> int:
     """Lane bits that provably hold every lane of ``packed_log_entry``.
 
-    On |a[f][k][j]| at width 0 the recurrence bounds the sum of |lane| over
-    the lanes of S_n u_q[0], so each lane; the L/q weights add these up.
-    One sign bit more, rounded up to whole bytes.
+    The kernel on |a[f][k][j]| at width 0 with the weights L/q sums
+    (L/q) ((|F_0| ... |F_{m-1}| - I)^q e_n)[0] over q.  Each |F_f| has a unit
+    diagonal and no negative entry, so no term is negative, and the sum
+    bounds the sum of |lane| over the lanes of the log entry, so each lane.
+    Horner's rule only regroups the sum of powers, so the bound is the
+    integer that summing them one by one gives.  One sign bit more, rounded
+    up to whole bytes.
     """
     top = lcm(*range(1, n + 1))
     absolute = [[[abs(x) for x in row] for row in a] for a in steps]
-    bound = sum(top // q * b for q, b in enumerate(_column_powers(n, absolute, 0), 1))
+    bound = _log_column(n, absolute, 0, [top // q for q in range(1, n + 1)])
     return (bound.bit_length() + 8) // 8 * 8
 
 
 def packed_log_entry(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int) -> int:
-    """L S_n times the (1, n+1) log entry, one ``width``-bit lane per word."""
+    """L S_n times the (1, n+1) log entry, one ``width``-bit lane per word: the
+    kernel on the weights (-1)^(q+1) L/q of log(I + N) = sum_q (-1)^(q+1) N^q / q."""
     top = lcm(*range(1, n + 1))
-    powers = _column_powers(n, steps, width)
-    return sum((-1) ** (q + 1) * (top // q) * u for q, u in enumerate(powers, 1))
+    return _log_column(n, steps, width, [(-1) ** (q + 1) * (top // q) for q in range(1, n + 1)])
 
 
 class Stages:

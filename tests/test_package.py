@@ -177,6 +177,13 @@ def test_term_imports_no_reference_route(tmp_path):
         assert not loaded & {"bchkit.signedeval", "bchkit.freealgebra", "bchkit.dynkin"}
 
 
+def test_verify_imports_only_the_named_routes():
+    code, out, _, loaded = _run("verify", "4", "--modes", "signed")
+    assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+    assert "bchkit.signedeval" in loaded
+    assert not loaded & {"bchkit.freealgebra", "bchkit.dynkin"}
+
+
 def test_a_handler_runs_without_main():
     # each cmd_* fills the cli names it calls, in a process where nothing has
     # filled them yet

@@ -371,7 +371,22 @@ def term_at_width(monkeypatch, n, specs, width):
         return None
 
 
+# exp's lane widths at n = 1, 2, ..., one list per factor count, as summing
+# the log's powers one at a time gave them; Horner's order must not move one
+EXP_LANE_WIDTHS = {
+    2: [8, 8, 16, 16, 24, 24, 32, 40, 48, 48, 56, 64, 72, 80, 80, 88, 96, 104, 112, 120, 128, 128],
+    3: [8, 8, 16, 16, 24, 32, 40, 40, 48, 56, 64, 72, 80],
+    4: [8, 8, 16, 24, 32, 32, 40, 48, 56, 64, 72],
+}
+
+
 class TestLaneWidth:
+    @pytest.mark.parametrize("m", sorted(EXP_LANE_WIDTHS))
+    def test_exp_widths_are_pinned(self, m):
+        widths = [series_module.lane_width(n, series_module._scaled_steps(n, exp_factors(n, m))[1])
+                  for n in range(1, len(EXP_LANE_WIDTHS[m]) + 1)]
+        assert widths == EXP_LANE_WIDTHS[m]
+
     @pytest.mark.parametrize("n,specs", LANE_CASES)
     def test_width_leaves_a_sign_bit_over_the_largest_lane(self, n, specs):
         _, steps = series_module._scaled_steps(n, specs)
