@@ -18,13 +18,11 @@ In row 0 position 1 is the most significant digit, so lane i is the i-th
 word in graded-lex order: the decoder both kernels share,
 ``words.unpack_lanes``, needs no digit-reversal index, and ``lex_lanes``
 hands out each word's integer numerator in the order the output prints
-them, with no word tuples and no sort.  The lane width W comes from the
-same kernel on |steps| and the weights L/q, a sum of nonnegative terms
-bounding every lane.  The term memo holds only those ints, per order and
-series, and each call decodes a fresh ``NCSeries`` from them, so no
-caller can edit another's term.  The matrix route of ``trimatrix``, the
-reference the tests compare against, is imported here only for the
-tracer.
+them, with no word tuples and no sort.  The term memo holds only those
+ints, per order and series, and each call decodes a fresh ``NCSeries``
+from them, so no caller can edit another's term.  The matrix route of
+``trimatrix``, the reference the tests compare against, is imported here
+only for the tracer.
 """
 
 from __future__ import annotations
@@ -59,12 +57,9 @@ def _scaled_steps(n: int, f_list: Sequence[SeriesSpec]) -> tuple[int, list[list[
 
 def _log_column(n: int, steps: Sequence[Sequence[Sequence[int]]], width: int, weights: Sequence[int]) -> int:
     """Row 0 of sum_q weights[q-1] N^q e_n over q = 1..n, N = F_0 ... F_{m-1} - I
-    on the scaled steps, ``width`` bits per lane; at width 0 each column entry
-    holds the sum of its lanes.  By Horner, h_n = weights[n-1] e_n and
-    h_q = weights[q-1] e_n + N h_{q+1}, and the sum is (N h_1)[0].  N is
-    strictly upper triangular, so rows >= q of N h_{q+1} read only rows > q
-    of h_{q+1}: step q forms rows q..n, row k is formed k + 1 times, and the
-    widest, row 0, once."""
+    on the scaled steps, ``width`` bits per lane (at width 0 each column entry
+    holds the sum of its lanes): h_n = weights[n-1] e_n, h_q = weights[q-1] e_n
+    + N h_{q+1}, and the sum is (N h_1)[0].  Step q forms rows q..n only."""
     m = len(steps)
     shifts = [[width * f * m ** (n - j) for j in range(n + 1)] for f in range(m)]
     h = [0] * n + [weights[n - 1]]
